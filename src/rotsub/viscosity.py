@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .burgers import RadialProfile
 from .geometry import AnnulusGeometry, cartesian_to_polar
@@ -127,12 +126,17 @@ class _CrankNicolson:
         self.r_faces = 0.5 * (grid[:-1] + grid[1:])
 
         mu = 0.5 * problem.nu * problem.dt
-        m = r.size
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -mu * self.c_plus[:-1]
-        ab[1, :] = 1.0 - mu * self.c_diag
-        ab[2, :-1] = -mu * self.c_minus[1:]
-        self.lhs_banded = ab
+        # scipy is imported here, by its only user, so that importing the
+        # package (and every other command) does not pay its import time
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        # the left-hand side I - mu*A never changes: LU-factor it once
+        *self._lhs_lu, info = dgttrf(
+            -mu * self.c_minus[1:], 1.0 - mu * self.c_diag, -mu * self.c_plus[:-1]
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (dgttrf info {info})")
+        self._lhs_solve = dgttrs
         self.mu = mu
 
         self.energy0 = self._energy(self.u_full)
@@ -165,7 +169,9 @@ class _CrankNicolson:
             rhs = rhs + problem.dt * np.asarray(
                 problem.source(self.r_interior, self.t + 0.5 * problem.dt), dtype=float
             )
-        u_new = solve_banded((1, 1), self.lhs_banded, rhs)
+        u_new, info = self._lhs_solve(*self._lhs_lu, rhs)
+        if info != 0 or not np.all(np.isfinite(u_new)):
+            raise ValueError(f"Crank-Nicolson step gave non-finite values (dgttrs info {info})")
         midpoint = np.zeros_like(self.u_full)
         midpoint[1:-1] = 0.5 * (u + u_new)
         self.dissipated += problem.nu * problem.dt * self._gradient_energy(midpoint)

@@ -7,6 +7,7 @@ from rotsub.burgers import (
     CFLError,
     FVState,
     RadialProfile,
+    _godunov_flux,
     compare_exact_vs_fv,
     fan_interval,
     godunov_solve,
@@ -162,3 +163,43 @@ def test_weak_form_of_conservation_law():
     fine = residual(4, 4)
     assert fine < 1e-9
     assert fine < coarse
+
+
+def _riemann_flux_by_cases(u_left, u_right, lam):
+    """Godunov flux of (lam/2) u^2 written out case by case (reference)."""
+    q_left = 0.5 * lam * u_left**2
+    q_right = 0.5 * lam * u_right**2
+    rarefying = u_left <= u_right
+    through_zero = (u_left <= 0.0) & (u_right >= 0.0)
+    return np.where(
+        rarefying,
+        np.where(through_zero, 0.0, np.minimum(q_left, q_right)),
+        np.maximum(q_left, q_right),
+    )
+
+
+class TestGodunovFlux:
+    @staticmethod
+    def assert_bit_equal(u_left, u_right, lam):
+        got = _godunov_flux(u_left, u_right, lam)
+        want = _riemann_flux_by_cases(u_left, u_right, lam)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_sign_and_tie_cases(self):
+        values = np.array([-1.0, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0])
+        u_left, u_right = np.meshgrid(values, values, indexing="ij")
+        for lam in (0.1, 0.25, 1.0):
+            self.assert_bit_equal(u_left.ravel(), u_right.ravel(), lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-2.0, max_value=2.0)),
+            min_size=1, max_size=50,
+        ),
+        st.floats(min_value=1e-3, max_value=1.0),
+    )
+    def test_random_states(self, pairs, lam):
+        u_left, u_right = np.array(pairs, dtype=float).T
+        self.assert_bit_equal(u_left, u_right, lam)

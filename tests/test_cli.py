@@ -1,10 +1,14 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rotsub import burgers, cli
 
 
 def run_cli(*args):
@@ -194,3 +198,85 @@ class TestNumericalCommands:
         assert result.returncode == 0
         report = read_report(tmp_path, "boundary")
         assert report["provenance"]["seed"] == 7
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    code = "import sys, rotsub.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def _fmt(value) -> str:
+    """Per-cell CSV formatting of the original row writer (reference)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1])
+def test_write_csv_matches_per_cell_writer(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+    floats[:3] = [math.nan, -0.0, math.inf][:n_rows]
+    columns = {
+        "x": floats,
+        "n": rng.integers(-10**12, 10**12, n_rows),
+        "name": [f"field{k}" for k in range(n_rows)],
+        "flag": rng.random(n_rows) > 0.5,
+        "py_float": floats.tolist(),
+        "py_int": [int(v) for v in rng.integers(0, 100, n_rows)],
+        "py_bool": [k % 3 == 0 for k in range(n_rows)],
+    }
+    cli.write_csv(tmp_path / "block.csv", columns)
+    expected = ",".join(columns) + "\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns.values())
+    )
+    assert (tmp_path / "block.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_burgers_solves_each_mesh_once(tmp_path, monkeypatch):
+    solve = burgers.godunov_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(burgers, "godunov_solve", counted)
+    config = cli.load_config(overrides={"burgers.n_cells": "500,1000,2000"})
+    _, payload = cli.cmd_burgers(config, tmp_path)
+    assert len(calls) == 3
+    assert payload["max_principle_ok"] is True
+
+
+class TestVerdictsNeedEvidence:
+    def test_energy_decrease_below_roundoff_passes(self, tmp_path):
+        assert cli.main(["energy", "--params.epsilon", "1e-15", "--out", str(tmp_path)]) == 0
+        results = read_report(tmp_path, "energy")["results"]
+        assert results["ok"] is True
+        deficit = results["D"]
+        assert deficit[0] == 0.0
+        assert all(b > a for a, b in zip(deficit, deficit[1:]))
+
+    @pytest.mark.parametrize("flag", ["--grids.n_t=1", "--grids.n_r=0"])
+    def test_subsolution_without_band_samples_fails(self, tmp_path, flag):
+        assert cli.main(["subsolution", flag, "--out", str(tmp_path)]) == 1
+        results = read_report(tmp_path, "subsolution")["results"]
+        assert results["n_in_band"] == 0
+        assert results["first_violation"]["kind"] == "no_evidence"
+        assert results["ok"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--energy.n_times=1"],
+        ["burgers", "--burgers.t=0"],
+        ["burgers", "--burgers.t=-0.5"],
+    ])
+    def test_evidence_free_settings_are_config_errors(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / f"{argv[0]}.json").exists()

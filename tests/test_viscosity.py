@@ -61,6 +61,28 @@ class TestSolver:
         # with the self-adjoint discretization the identity is machine exact
         assert record.energy_drift < 1e-10
 
+    def test_factored_step_matches_banded_solve(self):
+        from scipy.linalg import solve_banded
+
+        problem = vc.ParabolicProblem(geom=GEOM, nu=1e-3, n=800, dt=2.5e-3)
+        solver = vc._CrankNicolson(problem)
+        mu = solver.mu
+        ab = np.zeros((3, solver.r_interior.size))
+        ab[0, 1:] = -mu * solver.c_plus[:-1]
+        ab[1, :] = 1.0 - mu * solver.c_diag
+        ab[2, :-1] = -mu * solver.c_minus[1:]
+        for _ in range(5):
+            want = solve_banded((1, 1), ab, solver._apply_rhs(solver.u_full[1:-1]))
+            solver.step()
+            got = solver.u_full[1:-1]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_non_finite_step_rejected(self):
+        solver = vc._CrankNicolson(vc.ParabolicProblem(geom=GEOM, nu=1e-2, n=200, dt=1e-3))
+        solver.u_full[50] = np.nan
+        with pytest.raises(ValueError):
+            solver.step()
+
     def test_output_times_validated(self):
         problem = vc.ParabolicProblem(geom=GEOM, nu=1e-2)
         with pytest.raises(ValueError):

@@ -237,6 +237,29 @@ class TestEnergy:
         assert energies[0] == pytest.approx(wf.initial_energy(GEOM), rel=1e-12)
         assert np.all(np.diff(energies) < 0.0)
 
+    def test_exact_deficit_matches_quadrature(self):
+        from scipy.integrate import quad
+
+        times = np.array([0.0, 1e-3, 0.3, 1.0])
+        # E(0) - E(t) = 2 pi int (1/r^4 - 2 ebar) r dr, nonzero only on the band
+        want = np.array([
+            2.0 * math.pi * quad(
+                lambda r: (r**-4 - 2.0 * ss.ebar(r, tv, GEOM, PARAMS)) * r,
+                GEOM.r0 - PARAMS.lam * tv, GEOM.r0 + PARAMS.lam * tv, epsabs=0.0, epsrel=1e-13,
+            )[0]
+            for tv in times[1:]
+        ])
+        e0 = wf.initial_energy(GEOM)
+        # ebar is affine in epsilon, so the deficit scales with it; at 1e-15 a
+        # direct quadrature of the difference would be all roundoff
+        for eps in (PARAMS.epsilon, 1e-15):
+            p = SubsolutionParams(lam=PARAMS.lam, epsilon=eps)
+            deficit = wf.energy_deficit(GEOM, p, times)
+            assert deficit[0] == 0.0
+            assert deficit[1:] == pytest.approx(want * (eps / PARAMS.epsilon), rel=1e-12)
+            energies = wf.energy_series(GEOM, p, times)
+            assert np.max(np.abs(energies - (e0 - deficit))) < 1e-14 * e0
+
     def test_admissibility_both_directions(self):
         times = np.linspace(0.1, 1.0, 5)
         e0 = wf.initial_energy(GEOM)
