@@ -574,7 +574,7 @@ def energy_series(geom: AnnulusGeometry, params: SubsolutionParams, times,
     return np.asarray([energy_total(geom, params, tv, r_cells, order) for tv in np.asarray(times)])
 
 
-def energy_deficit(geom: AnnulusGeometry, params: SubsolutionParams, times, order: int = 32):
+def energy_deficit(geom: AnnulusGeometry, params: SubsolutionParams, times):
     """Exact energy deficit E(0) - E(t) on the fan, one value per time.
 
     Outside the band ebar is the initial energy density, so with the fan
@@ -586,7 +586,7 @@ def energy_deficit(geom: AnnulusGeometry, params: SubsolutionParams, times, orde
     epsilon lam t exactly, so it stays accurate (and increasing) when the
     deficit is far below the roundoff of E itself.
     """
-    u, w = panel_rule([-1.0, 1.0], order)
+    u, w = panel_rule([-1.0, 1.0], 32)
     width = params.lam * np.asarray(times, dtype=float)[:, None]
     r = geom.r0 + width * u
     integral = ((1.0 - params.lam * r**2) * (1.0 - u**2) / r**3) @ w
