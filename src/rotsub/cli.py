@@ -117,23 +117,25 @@ def load_config(path=None, overrides=None) -> dict:
     return {key: _coerce(key, value) for key, value in config.items()}
 
 
-def _geometry(config) -> AnnulusGeometry:
+def _checked(what: str, call, *args, **kwargs):
+    """Run a library call whose ValueError can only mean a bad configuration value."""
     try:
-        return AnnulusGeometry(
-            rho=config["geometry.rho"],
-            R=config["geometry.R"],
-            r0=config["geometry.r0"],
-            T=config["geometry.T"],
-        )
+        return call(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from exc
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _geometry(config) -> AnnulusGeometry:
+    return _checked(
+        "geometry", AnnulusGeometry, rho=config["geometry.rho"], R=config["geometry.R"],
+        r0=config["geometry.r0"], T=config["geometry.T"],
+    )
 
 
 def _params(config) -> SubsolutionParams:
-    try:
-        return SubsolutionParams(lam=config["params.lambda"], epsilon=config["params.epsilon"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameters: {exc}") from exc
+    return _checked(
+        "parameters", SubsolutionParams, lam=config["params.lambda"], epsilon=config["params.epsilon"],
+    )
 
 
 CSV_BLOCK_ROWS = 4096
@@ -204,10 +206,7 @@ def cmd_subsolution(config, out_dir: Path):
     r = geom.rho + (np.arange(n_r) + 0.5) * geom.width / n_r
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     t = np.linspace(0.0, geom.T, n_t)
-    columns = sample_columns(geom, params, r, theta, t)
-    header = ["r", "theta", "t", "f", "alpha", "beta", "gamma", "qbar",
-              "vbar_x", "vbar_y", "u11", "u12", "egen", "ebar", "in_U"]
-    write_csv(out_dir / "subsolution.csv", {k: columns[k] for k in header})
+    write_csv(out_dir / "subsolution.csv", sample_columns(geom, params, r, theta, t))
 
     check = check_constraint_structure(geom, params, n_r=n_r, n_theta=n_theta, n_t=n_t)
     first = check.first_violation
@@ -220,7 +219,8 @@ def cmd_subsolution(config, out_dir: Path):
         "n_samples": check.n_samples,
         "n_in_band": check.n_in_band,
         "strictness_applicable": check.strictness_applicable,
-        "min_gap_in_band": check.min_gap_in_band,
+        # strict JSON has no infinity: the minimum over no band sample is null
+        "min_gap_in_band": check.min_gap_in_band if check.n_in_band else None,
         "max_gap_formula_dev": check.max_gap_formula_dev,
         "max_eq_dev_outside": check.max_eq_dev_outside,
         "first_violation": first,
@@ -309,10 +309,17 @@ def cmd_burgers(config, out_dir: Path):
 def cmd_residual(config, out_dir: Path):
     geom = _geometry(config)
     params = _params(config)
-    rng = np.random.default_rng(config["seed"])
-    fields = weakform.default_test_fields(geom, params)
     levels = config["residual.levels"]
     order = config["residual.order"]
+    if levels < 2:
+        raise ConfigError("residual.levels needs at least two levels to measure an order")
+    h = config["residual.fd_h"]
+    rng = np.random.default_rng(config["seed"])
+    r_pts, t_pts = _checked(
+        "params.lambda or residual.fd_h", weakform.sample_points_away_from_band,
+        geom, params, config["residual.fd_points"], h, rng,
+    )
+    fields = weakform.default_test_fields(geom, params)
 
     table = {"field": [], "cells": [], "residual": []}
     all_ok = True
@@ -342,9 +349,6 @@ def cmd_residual(config, out_dir: Path):
     div_ok = abs(div_residual) < 1e-10
 
     # independent finite-difference route for the two radial equations
-    h = config["residual.fd_h"]
-    n_pts = config["residual.fd_points"]
-    r_pts, t_pts = weakform.sample_points_away_from_band(geom, params, n_pts, h, rng)
     res_coarse = weakform.radial_system_residual(geom, params, r_pts, t_pts, h=h)
     res_fine = weakform.radial_system_residual(geom, params, r_pts, t_pts, h=h / 2)
     ratios = []
@@ -366,12 +370,9 @@ def cmd_residual(config, out_dir: Path):
 
 def cmd_viscosity(config, out_dir: Path):
     geom = _geometry(config)
-    sweep = viscosity.vanishing_viscosity_study(
-        geom,
-        config["viscosity.nu"],
-        config["viscosity.t_probe"],
-        n=config["viscosity.n"],
-        dt=config["viscosity.dt"],
+    sweep = _checked(
+        "viscosity settings", viscosity.vanishing_viscosity_study, geom, config["viscosity.nu"],
+        config["viscosity.t_probe"], n=config["viscosity.n"], dt=config["viscosity.dt"],
     )
     write_csv(out_dir / "viscosity.csv", {"nu": sweep.nu, "l2_rdr_distance": sweep.distances})
     ok = sweep.monotone
@@ -391,8 +392,10 @@ def cmd_boundary(config, out_dir: Path):
     alpha = config["boundary.holder_alpha"]
     chi = boundary_layer.build_chi()
     psi = boundary_layer.SineStreamField(geom)
-    v = boundary_layer.HolderVelocity(geom, alpha)
-    report = boundary_layer.scaling_study(v, psi, chi, config["boundary.eps"], geom)
+    v = _checked("boundary.holder_alpha", boundary_layer.HolderVelocity, geom, alpha)
+    report = _checked(
+        "boundary.eps", boundary_layer.scaling_study, v, psi, chi, config["boundary.eps"], geom,
+    )
     write_csv(out_dir / "boundary.csv", {
         "eps": report.eps,
         **{f"I{k + 1}": report.I_values[:, k] for k in range(4)},

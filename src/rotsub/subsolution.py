@@ -33,6 +33,7 @@ import numpy as np
 
 from .burgers import fan_interval, rarefaction
 from .geometry import AnnulusGeometry, SubsolutionParams, cartesian_to_polar
+from .quadrature import _leggauss
 
 
 def f_profile(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
@@ -103,63 +104,33 @@ def gamma_partial_r(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     return lam * (1.0 - f**2) / r**3 + lam * f * f_r / r**2
 
 
-def _pressure_sorted(radii, t: float, geom: AnnulusGeometry, params: SubsolutionParams,
-                     rtol: float = 1e-10, start_order: int = 16, max_order: int = 128):
-    """int_rho^r alpha(s, t)^2 / s ds for an ascending array of radii.
+def qbar(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
+    """Generalized pressure alpha^2/2 + int_rho^r alpha(s, t)^2/s ds, in closed form.
 
-    Panels are split at the query radii and at the fan edges, so every panel
-    integrand is smooth; the Gauss order doubles until the whole profile is
-    converged to ``rtol`` (relative, with a tiny absolute floor).
+    Outside the fan alpha^2/s = s^-5, so the integral is (rho^-4 - r^-4)/4 less
+    the deficit int (1 - f^2)/s^5 ds over the part of the fan below r.  Under
+    s = r0 + lam t u that deficit is lam t int (1 - u^2)/(r0 + lam t u)^5 du, a
+    smooth integrand taken by a fixed 16-point Gauss rule (12 points lose digits
+    at large lam t), summed node by node so no points-by-nodes array is held.
+    The fan's lower edge is clamped to rho.  Broadcasts over r and t.
     """
-    radii = np.asarray(radii, dtype=float)
-    left, right = fan_interval(t, geom.r0, params.lam)
-    knots = np.unique(
-        np.concatenate(
-            [[geom.rho], radii, [e for e in (left, right) if geom.rho < e < radii[-1]]]
-        )
-    )
-
-    def integrand(s):
-        return alpha(s, t, geom, params) ** 2 / s
-
-    def panel_integrals(order):
-        xi, wi = np.polynomial.legendre.leggauss(order)
-        a = knots[:-1][:, None]
-        b = knots[1:][:, None]
-        half = 0.5 * (b - a)
-        vals = integrand(0.5 * (a + b) + half * xi[None, :])
-        return (vals * wi[None, :] * half).sum(axis=1)
-
-    order = start_order
-    parts = panel_integrals(order)
-    while order < max_order:
-        finer = panel_integrals(2 * order)
-        scale = np.abs(finer).sum() + 1e-300
-        if np.max(np.abs(finer - parts)) <= rtol * scale + 1e-15:
-            parts = finer
-            break
-        parts = finer
-        order *= 2
-    cumulative = np.concatenate([[0.0], np.cumsum(parts)])
-    return np.interp(radii, knots, cumulative)
-
-
-def qbar(r, t, geom: AnnulusGeometry, params: SubsolutionParams, rtol: float = 1e-10):
-    """Generalized pressure alpha^2/2 + int_rho^r alpha(s, t)^2/s ds.
-
-    Broadcasts over r and t; the integral is evaluated per distinct time.
-    """
-    r_arr, t_arr = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    flat_r = r_arr.ravel()
-    flat_t = t_arr.ravel()
-    pressure = np.empty_like(flat_r)
-    for tv in np.unique(flat_t):
-        idx = np.nonzero(flat_t == tv)[0]
-        order = np.argsort(flat_r[idx])
-        sorted_vals = _pressure_sorted(flat_r[idx][order], float(tv), geom, params, rtol=rtol)
-        pressure[idx[order]] = sorted_vals
-    out = 0.5 * alpha(flat_r, flat_t, geom, params) ** 2 + pressure
-    out = out.reshape(r_arr.shape)
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    width = params.lam * t
+    low = np.maximum(geom.r0 - width, geom.rho)
+    fan = (width > 0) & (r > low)
+    deficit = np.zeros(r.shape)
+    if np.any(fan):
+        w = width[fan]
+        u_low = (low[fan] - geom.r0) / w
+        u_high = (np.minimum(r[fan], geom.r0 + w) - geom.r0) / w
+        mid = 0.5 * (u_high + u_low)
+        half = 0.5 * (u_high - u_low)
+        acc = np.zeros_like(w)
+        for xi, wi in zip(*_leggauss(16)):
+            u = mid + half * xi
+            acc += wi * (1.0 - u * u) / (geom.r0 + w * u) ** 5
+        deficit[fan] = w * half * acc
+    out = 0.5 * alpha(r, t, geom, params) ** 2 + 0.25 * (geom.rho**-4 - r**-4) - deficit
     if out.ndim == 0:
         return float(out)
     return out
@@ -286,7 +257,8 @@ def sample(x, t: float, geom: AnnulusGeometry, params: SubsolutionParams) -> Sub
 def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t):
     """Flattened field table over the tensor grid t x r x theta (t outermost).
 
-    Keys match the CSV column contract:
+    The radially symmetric qbar is evaluated on the t x r grid only.  Keys
+    match the CSV column contract, in order:
     r, theta, t, f, alpha, beta, gamma, qbar, vbar_x, vbar_y, u11, u12,
     egen, ebar, in_U.
     """
@@ -308,7 +280,7 @@ def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t
         "alpha": a.ravel(),
         "beta": b.ravel(),
         "gamma": g.ravel(),
-        "qbar": qbar(Rg, T, geom, params).ravel(),
+        "qbar": np.broadcast_to(qbar(r, t[:, None], geom, params)[..., None], T.shape).ravel(),
         "vbar_x": (a * np.sin(TH)).ravel(),
         "vbar_y": (-a * np.cos(TH)).ravel(),
         "u11": u11.ravel(),

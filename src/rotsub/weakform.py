@@ -491,21 +491,14 @@ def radial_system_residual(geom: AnnulusGeometry, params: SubsolutionParams, r, 
     res1 = D_r beta + (2/r) beta + D_r qbar and
     res2 = D_t alpha + D_r gamma + (2/r) gamma, all derivatives centered with
     step h.  Points closer than 2h to a band edge are rejected (the fields
-    have kinks there).  The qbar difference integrates alpha^2/s over
-    [r-h, r+h] directly, avoiding cancellation of two large integrals.
+    have kinks there).
     """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     _require_away_from_band(geom, params, r, t, h)
 
     d_beta = (beta(r + h, t, geom, params) - beta(r - h, t, geom, params)) / (2.0 * h)
-    kinetic = (
-        0.5 * alpha(r + h, t, geom, params) ** 2 - 0.5 * alpha(r - h, t, geom, params) ** 2
-    )
-    xi, wi = np.polynomial.legendre.leggauss(16)
-    s_nodes = r[..., None] + h * xi
-    integral = h * np.sum(wi * alpha(s_nodes, t[..., None], geom, params) ** 2 / s_nodes, axis=-1)
-    d_qbar = (kinetic + integral) / (2.0 * h)
+    d_qbar = (qbar(r + h, t, geom, params) - qbar(r - h, t, geom, params)) / (2.0 * h)
     res1 = d_beta + 2.0 * beta(r, t, geom, params) / r + d_qbar
 
     d_alpha_t = (alpha(r, t + h, geom, params) - alpha(r, t - h, geom, params)) / (2.0 * h)
@@ -526,6 +519,11 @@ def sample_points_away_from_band(geom: AnnulusGeometry, params: SubsolutionParam
     t_lo, t_hi = 0.3 * geom.T, 0.9 * geom.T
     left_end = geom.r0 - params.lam * geom.T
     right_end = geom.r0 + params.lam * geom.T
+    if min(left_end - geom.rho, geom.R - right_end) < 8 * h or params.lam * t_hi < 10 * h:
+        raise ValueError(
+            f"no room for points with step h={h}: the band must stay 8h clear of the "
+            f"boundary and be wider than 10h at t={t_hi}"
+        )
     r_inner = rng.uniform(geom.rho + 4 * h, left_end - 4 * h, n_each)
     t_inner = rng.uniform(t_lo, t_hi, n_each)
     r_outer = rng.uniform(right_end + 4 * h, geom.R - 4 * h, n_each)

@@ -96,6 +96,9 @@ class TestSubsolutionCommand:
     def test_header_byte_exact(self, out_dir):
         first_line = (out_dir / "subsolution.csv").read_text(encoding="utf-8").splitlines()[0]
         assert first_line == self.HEADER
+        # the CSV header is the key order of sample_columns; README documents it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"`{self.HEADER}`" in readme.splitlines()
 
     def test_all_rows_satisfy_constraint(self, out_dir):
         with open(out_dir / "subsolution.csv", newline="") as fh:
@@ -200,8 +203,11 @@ class TestNumericalCommands:
         assert report["provenance"]["seed"] == 7
 
 
-def test_import_cli_leaves_scipy_unloaded():
-    code = "import sys, rotsub.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+# scipy is needed by the Crank-Nicolson solver only, and numpy.polynomial only
+# once a Gauss rule is built, so neither belongs in every command's start-up
+@pytest.mark.parametrize("package", ["scipy", "numpy.polynomial"])
+def test_import_cli_leaves_package_unloaded(package):
+    code = f"import sys, rotsub.cli; print(sorted(m for m in sys.modules if m.startswith({package!r})))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -265,9 +271,14 @@ class TestVerdictsNeedEvidence:
 
     @pytest.mark.parametrize("flag", ["--grids.n_t=1", "--grids.n_r=0"])
     def test_subsolution_without_band_samples_fails(self, tmp_path, flag):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
         assert cli.main(["subsolution", flag, "--out", str(tmp_path)]) == 1
-        results = read_report(tmp_path, "subsolution")["results"]
+        text = (tmp_path / "subsolution.json").read_text(encoding="utf-8")
+        results = json.loads(text, parse_constant=reject)["results"]
         assert results["n_in_band"] == 0
+        assert results["min_gap_in_band"] is None
         assert results["first_violation"]["kind"] == "no_evidence"
         assert results["ok"] is False
 
@@ -275,8 +286,24 @@ class TestVerdictsNeedEvidence:
         ["energy", "--energy.n_times=1"],
         ["burgers", "--burgers.t=0"],
         ["burgers", "--burgers.t=-0.5"],
+        ["residual", "--residual.levels=1"],
     ])
     def test_evidence_free_settings_are_config_errors(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (tmp_path / f"{argv[0]}.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["viscosity", "--viscosity.n", "4"],
+    ["boundary", "--boundary.holder_alpha", "2"],
+    ["boundary", "--boundary.eps", "0.04,0.02"],
+    ["viscosity", "--viscosity.nu", "0.01,0.001"],
+    ["residual", "--params.lambda", "0.001"],
+])
+def test_domain_errors_are_config_errors(tmp_path, argv):
+    result = run_cli(*argv, "--out", str(tmp_path))
+    assert result.returncode == 2
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert result.stderr.startswith("config error: ")
+    assert not (tmp_path / f"{argv[0]}.json").exists()

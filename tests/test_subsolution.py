@@ -171,6 +171,35 @@ class TestPressure:
         want = np.array([float(ss.qbar(rv, tv, GEOM, PARAMS)) for rv, tv in zip(r, t)])
         assert np.allclose(got, want, atol=1e-14)
 
+    @pytest.mark.parametrize("lam", [1e-9, 1e-3, 0.1, 0.25, 0.6])
+    def test_matches_adaptive_quad(self, lam):
+        # at lam = 0.6 the fan's lower edge crosses rho for t > 5/6
+        from scipy.integrate import quad
+
+        params = SubsolutionParams(lam=lam, epsilon=0.5)
+        for t in (0.0, 0.37, 1.0):
+            w = lam * t
+            edges = [e for e in (GEOM.r0 - w, GEOM.r0 + w) if GEOM.rho <= e <= GEOM.R]
+            radii = np.array([GEOM.rho, 1.2, GEOM.r0 - 0.5 * w, GEOM.r0 + 0.3 * w, 1.8, GEOM.R, *edges])
+            got = ss.qbar(radii, t, GEOM, params)
+
+            def f_sq(s):
+                f = np.clip((s - GEOM.r0) / w, -1.0, 1.0) if w > 0 else np.sign(s - GEOM.r0)
+                return f * f
+
+            for rv, gv in zip(radii, got):
+                knots = sorted({GEOM.rho, rv, *(e for e in edges if GEOM.rho < e < rv)})
+                integral = sum(
+                    quad(lambda s: f_sq(s) / s**5, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                    for a, b in zip(knots[:-1], knots[1:])
+                )
+                want = 0.5 * f_sq(rv) / rv**4 + integral
+                assert abs(gv - want) <= 2e-15, (lam, t, rv, gv - want)
+
+    def test_scalar_input_returns_float(self):
+        for r, t in ((1.5, 0.5), (1.2, 0.5), (1.7, 0.0)):
+            assert type(ss.qbar(r, t, GEOM, PARAMS)) is float
+
 
 class TestEnergyDensities:
     def test_egen_outside_fan(self):

@@ -199,6 +199,24 @@ class TestRadialSystem:
             ratio = np.median(np.abs(coarse[keep]) / np.abs(fine[keep]))
             assert 3.5 <= ratio <= 4.5
 
+    def test_fd_route_sees_a_perturbed_pressure(self, monkeypatch):
+        # res1 differences qbar itself, so an error in the pressure shows up as its derivative
+        rng = np.random.default_rng(15)
+        r = rng.uniform(1.05, 1.35, 20)
+        t = rng.uniform(0.3, 0.9, 20)
+        res1_exact, _ = wf.radial_system_residual(GEOM, PARAMS, r, t, h=1e-3)
+        exact = wf.qbar
+        monkeypatch.setattr(wf, "qbar", lambda rv, tv, g, p: exact(rv, tv, g, p) + 1e-3 * rv**2)
+        res1, _ = wf.radial_system_residual(GEOM, PARAMS, r, t, h=1e-3)
+        assert np.allclose(res1 - res1_exact, 2e-3 * r, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0, 0.5])
+    def test_band_without_room_leaves_no_points(self, lam):
+        with pytest.raises(ValueError, match="no room"):
+            wf.sample_points_away_from_band(
+                GEOM, SubsolutionParams(lam=lam, epsilon=0.5), 30, 1e-3, np.random.default_rng(0)
+            )
+
     def test_points_near_edges_rejected(self):
         with pytest.raises(ValueError):
             wf.radial_system_residual(GEOM, PARAMS, 1.45, 0.5, h=1e-3)
