@@ -175,6 +175,16 @@ def _write_report(out_dir: Path, name: str, report: dict):
         fh.write("\n")
 
 
+def _violations(report) -> list:
+    """Print each violated admissibility bound and return them as JSON objects."""
+    for v in report.violations:
+        print(f"violated: {v.description} (value {v.value}, bound {v.bound})")
+    return [
+        {"name": v.name, "value": v.value, "bound": v.bound, "description": v.description}
+        for v in report.violations
+    ]
+
+
 def cmd_validate(config, out_dir: Path):
     geom = _geometry(config)
     params = _params(config)
@@ -185,16 +195,11 @@ def cmd_validate(config, out_dir: Path):
         "lambda_bound": report.lambda_bound,
         "epsilon_bound": report.epsilon_bound,
         "epsilon_strict": report.epsilon_strict,
-        "violations": [
-            {"name": v.name, "value": v.value, "bound": v.bound, "description": v.description}
-            for v in report.violations
-        ],
+        "violations": _violations(report),
         "ok": report.ok,
     }
     if report.ok and not report.epsilon_strict:
         payload["warning"] = "epsilon >= 1: the energy gap inside the band is not strict"
-    for violation in report.violations:
-        print(f"violated: {violation.description} (value {violation.value}, bound {violation.bound})")
     print(f"validate: {'PASS' if report.ok else 'FAIL'}")
     return (0 if report.ok else 1), payload
 
@@ -209,12 +214,8 @@ def cmd_subsolution(config, out_dir: Path):
     write_csv(out_dir / "subsolution.csv", sample_columns(geom, params, r, theta, t))
 
     check = check_constraint_structure(geom, params, n_r=n_r, n_theta=n_theta, n_t=n_t)
-    first = check.first_violation
-    if first is None and (check.n_samples == 0
-                          or (check.strictness_applicable and check.n_in_band == 0)):
-        # a PASS needs samples, and band samples when the gap must be strict
-        first = {"kind": "no_evidence", "n_samples": check.n_samples, "n_in_band": check.n_in_band}
-    ok = first is None
+    admissible = validate_params(geom, params)
+    ok = check.ok and admissible.ok
     payload = {
         "n_samples": check.n_samples,
         "n_in_band": check.n_in_band,
@@ -223,7 +224,8 @@ def cmd_subsolution(config, out_dir: Path):
         "min_gap_in_band": check.min_gap_in_band if check.n_in_band else None,
         "max_gap_formula_dev": check.max_gap_formula_dev,
         "max_eq_dev_outside": check.max_eq_dev_outside,
-        "first_violation": first,
+        "first_violation": check.first_violation,
+        "violations": _violations(admissible),
         "ok": ok,
     }
     print(f"subsolution constraint check: {'PASS' if ok else 'FAIL'}")
@@ -242,6 +244,7 @@ def cmd_energy(config, out_dir: Path):
     write_csv(out_dir / "energy.csv", {
         "t": times, "energy_total": energies, "E0": np.full_like(times, e0), "deficit": e0 - energies,
     })
+    admissible = validate_params(geom, params)
     if params.epsilon == 0.0:
         ok = bool(np.max(np.abs(energies - e0)) < 1e-10 * e0)
         behavior = "conserved"
@@ -256,12 +259,14 @@ def cmd_energy(config, out_dir: Path):
             and np.all(np.diff(energies)[resolved] < 0.0)
         )
         behavior = "strictly decreasing"
+    ok = ok and admissible.ok
     payload = {
         "E0": e0,
         "times": times.tolist(),
         "energy": energies.tolist(),
         "D": deficit.tolist(),
         "expected_behavior": behavior,
+        "violations": _violations(admissible),
         "ok": ok,
     }
     print(f"energy ({behavior}): {'PASS' if ok else 'FAIL'}")
@@ -277,6 +282,8 @@ def cmd_burgers(config, out_dir: Path):
         raise ConfigError(f"burgers.t must be positive, got {t_probe}")
     if len(meshes) < 2:
         raise ConfigError("burgers.n_cells needs at least two mesh sizes")
+    if min(meshes) < 1:
+        raise ConfigError(f"burgers.n_cells needs at least one cell per mesh, got {meshes}")
     l1 = []
     linf = []
     in_bounds = True
@@ -313,7 +320,11 @@ def cmd_residual(config, out_dir: Path):
     order = config["residual.order"]
     if levels < 2:
         raise ConfigError("residual.levels needs at least two levels to measure an order")
+    if config["residual.fd_points"] < 3:
+        raise ConfigError("residual.fd_points needs at least three points, one per smooth region")
     h = config["residual.fd_h"]
+    if not h > 0.0:
+        raise ConfigError(f"residual.fd_h must be positive, got {h}")
     rng = np.random.default_rng(config["seed"])
     r_pts, t_pts = _checked(
         "params.lambda or residual.fd_h", weakform.sample_points_away_from_band,
@@ -325,7 +336,10 @@ def cmd_residual(config, out_dir: Path):
     all_ok = True
     field_payload = {}
     for name, phi in fields.items():
-        study = weakform.linear_system_refinement(geom, params, phi, levels=levels, order=order)
+        study = _checked(
+            "residual.order", weakform.linear_system_refinement, geom, params, phi,
+            levels=levels, order=order,
+        )
         all_ok = all_ok and study.converged
         for cells, res in zip(study.levels, study.residuals):
             table["field"].append(name)
@@ -390,7 +404,7 @@ def cmd_viscosity(config, out_dir: Path):
 def cmd_boundary(config, out_dir: Path):
     geom = _geometry(config)
     alpha = config["boundary.holder_alpha"]
-    chi = boundary_layer.build_chi()
+    chi = boundary_layer.SmoothstepCutoff()
     psi = boundary_layer.SineStreamField(geom)
     v = _checked("boundary.holder_alpha", boundary_layer.HolderVelocity, geom, alpha)
     report = _checked(

@@ -52,12 +52,6 @@ class AnnulusGeometry:
     def area(self) -> float:
         return math.pi * (self.R**2 - self.rho**2)
 
-    def contains_radius(self, r, strict=True):
-        r = np.asarray(r, dtype=float)
-        if strict:
-            return (self.rho < r) & (r < self.R)
-        return (self.rho <= r) & (r <= self.R)
-
 
 @dataclass(frozen=True)
 class SubsolutionParams:
@@ -172,6 +166,12 @@ def polar_to_cartesian(r, theta):
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def polar_vector(v_r, v_th, theta):
+    """Cartesian (..., 2) vector with polar components v_r e_r + v_th e_theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([v_r * c - v_th * s, v_r * s + v_th * c], axis=-1)
 
 
 @dataclass(frozen=True)

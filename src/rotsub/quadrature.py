@@ -66,14 +66,12 @@ def edges_with_breaks(a: float, b: float, cells: int, breaks=()):
 class QuadratureRule:
     """Flattened tensor-product rule; node columns are (r, theta) or (r, theta, t).
 
-    ``weights`` already include the polar Jacobian r when ``polar_jacobian``
-    is set (the default for all constructors in this module).
+    ``weights`` already include the polar Jacobian r.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-    polar_jacobian: bool = True
 
     def __post_init__(self):
         if self.nodes.shape[0] != self.weights.shape[0]:
@@ -93,11 +91,6 @@ class QuadratureRule:
     def t(self):
         return self.nodes[:, 2]
 
-    def points_xy(self):
-        return np.stack(
-            [self.r * np.cos(self.theta), self.r * np.sin(self.theta)], axis=-1
-        )
-
     def integrate(self, values):
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
@@ -109,12 +102,11 @@ def annulus_rule(
     order: int = 8,
     r_breaks=(),
     r_span=None,
-    theta_span=(0.0, TWO_PI),
 ) -> QuadratureRule:
-    """Tensor rule on {r_span} x {theta_span} with the polar Jacobian folded in."""
+    """Tensor rule on {r_span} x [0, 2 pi) with the polar Jacobian folded in."""
     ra, rb = r_span if r_span is not None else (geom.rho, geom.R)
     rn, rw = panel_rule(edges_with_breaks(ra, rb, r_cells, r_breaks), order)
-    tn, tw = panel_rule(edges_with_breaks(theta_span[0], theta_span[1], theta_cells), order)
+    tn, tw = panel_rule(edges_with_breaks(0.0, TWO_PI, theta_cells), order)
     R, TH = np.meshgrid(rn, tn, indexing="ij")
     W = np.outer(rw, tw) * R
     nodes = np.stack([R.ravel(), TH.ravel()], axis=-1)
@@ -125,7 +117,6 @@ def spacetime_rule(
     geom: AnnulusGeometry,
     t_span,
     r_span=None,
-    theta_span=(0.0, TWO_PI),
     cells=(4, 4, 4),
     order: int = 8,
     r_breaks_at=None,
@@ -143,7 +134,7 @@ def spacetime_rule(
     ta, tb = t_span
     r_cells, theta_cells, t_cells = cells
     tn, tw = panel_rule(edges_with_breaks(ta, tb, t_cells, t_breaks), order)
-    an, aw = panel_rule(edges_with_breaks(theta_span[0], theta_span[1], theta_cells), order)
+    an, aw = panel_rule(edges_with_breaks(0.0, TWO_PI, theta_cells), order)
 
     blocks_nodes = []
     blocks_weights = []

@@ -52,13 +52,16 @@ def alpha0(r, geom: AnnulusGeometry):
     return np.sign(r - geom.r0) / r**2
 
 
+def azimuthal(a, theta):
+    """The azimuthal field a (sin th, -cos th) as (..., 2) arrays."""
+    return np.stack([a * np.sin(theta), -a * np.cos(theta)], axis=-1)
+
+
 def initial_velocity(x, geom: AnnulusGeometry):
     """The stationary velocity field at t = 0: -+ x_perp / |x|^3 across r0,
     with x_perp = (x2, -x1)."""
-    x = np.asarray(x, dtype=float)
     r, theta = cartesian_to_polar(x)
-    a = alpha0(r, geom)
-    return np.stack([a * np.sin(theta), -a * np.cos(theta)], axis=-1)
+    return azimuthal(alpha0(r, geom), theta)
 
 
 def beta(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
@@ -138,10 +141,8 @@ def qbar(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
 
 def vbar(x, t, geom: AnnulusGeometry, params: SubsolutionParams):
     """Velocity field alpha(r, t) * (sin th, -cos th) at Cartesian points."""
-    x = np.asarray(x, dtype=float)
     r, theta = cartesian_to_polar(x)
-    a = alpha(r, t, geom, params)
-    return np.stack([a * np.sin(theta), -a * np.cos(theta)], axis=-1)
+    return azimuthal(alpha(r, t, geom, params), theta)
 
 
 def ubar_entries(r, theta, t, geom: AnnulusGeometry, params: SubsolutionParams):
@@ -267,22 +268,20 @@ def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t
     t = np.asarray(t, dtype=float)
     T, Rg, TH = np.meshgrid(t, r, theta, indexing="ij")
     band = TurbulentRegion.of(geom, params)
-    f = f_profile(Rg, T, geom, params)
-    a = f / Rg**2
-    b = -0.5 * a**2
-    g = -0.5 * params.lam * (1.0 - f**2) / Rg**2
+    a = alpha(Rg, T, geom, params)
+    v = azimuthal(a.ravel(), TH.ravel())
     u11, u12 = ubar_entries(Rg, TH, T, geom, params)
     return {
         "r": Rg.ravel(),
         "theta": TH.ravel(),
         "t": T.ravel(),
-        "f": f.ravel(),
+        "f": f_profile(Rg, T, geom, params).ravel(),
         "alpha": a.ravel(),
-        "beta": b.ravel(),
-        "gamma": g.ravel(),
+        "beta": beta(Rg, T, geom, params).ravel(),
+        "gamma": gamma(Rg, T, geom, params).ravel(),
         "qbar": np.broadcast_to(qbar(r, t[:, None], geom, params)[..., None], T.shape).ravel(),
-        "vbar_x": (a * np.sin(TH)).ravel(),
-        "vbar_y": (-a * np.cos(TH)).ravel(),
+        "vbar_x": v[:, 0],
+        "vbar_y": v[:, 1],
         "u11": u11.ravel(),
         "u12": u12.ravel(),
         "egen": egen(Rg, T, geom, params).ravel(),
@@ -328,6 +327,8 @@ def check_constraint_structure(
 
     When epsilon >= 1 strictness has no meaning; the check then only verifies
     equality outside the closed band and flags ``strictness_applicable=False``.
+    A check with no sample, or with no band sample while the gap must be
+    strict, fails with a ``no_evidence`` violation.
     """
     ra, rb = sub_annulus if sub_annulus is not None else (geom.rho, geom.R)
     if not (geom.rho <= ra < rb <= geom.R):
@@ -382,10 +383,13 @@ def check_constraint_structure(
             "egen": float(e_gen.ravel()[k]),
             "ebar": float(e_bar.ravel()[k]),
         }
+    n_in_band = int(np.count_nonzero(in_band))
+    if first is None and (gap.size == 0 or (strict_applicable and n_in_band == 0)):
+        first = {"kind": "no_evidence", "n_samples": int(gap.size), "n_in_band": n_in_band}
 
     return ConstraintReport(
         n_samples=int(gap.size),
-        n_in_band=int(np.count_nonzero(in_band)),
+        n_in_band=n_in_band,
         strictness_applicable=strict_applicable,
         min_gap_in_band=float(gap[in_band].min()) if np.any(in_band) else math.inf,
         max_gap_formula_dev=formula_dev,

@@ -29,7 +29,7 @@ import numpy as np
 
 from .burgers import RadialProfile
 from .geometry import AnnulusGeometry, cartesian_to_polar
-from .subsolution import alpha0
+from .subsolution import alpha0, azimuthal
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,14 +237,16 @@ def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float,
                               n: int = 1600, dt: float | None = None) -> ViscositySweep:
     """|| a_nu(., t_probe) - a0 ||_{L^2(r dr)} along a decreasing viscosity list.
 
-    Requires at least three strictly decreasing viscosities.  The fitted slope
-    is reported as an observation; the substantive check is that the distances
-    decrease strictly, i.e. the viscous profiles converge back to the
-    stationary one.
+    Requires at least three strictly decreasing viscosities and a positive
+    probe time.  The fitted slope is reported as an observation; the
+    substantive check is that the distances decrease strictly, i.e. the
+    viscous profiles converge back to the stationary one.
     """
     nu_arr = np.asarray(nu_list, dtype=float)
     if nu_arr.size < 3 or np.any(np.diff(nu_arr) >= 0) or np.any(nu_arr <= 0):
         raise ValueError("need >= 3 strictly decreasing positive viscosities")
+    if not t_probe > 0.0:
+        raise ValueError(f"probe time must be positive, got {t_probe}")
     if dt is None:
         dt = t_probe / 800.0
     distances = []
@@ -275,14 +277,8 @@ class AzimuthalField:
         return np.interp(np.asarray(r, dtype=float), self.profile.grid, self.profile.values)
 
     def velocity(self, x, t=None):
-        x = np.asarray(x, dtype=float)
         r, th = cartesian_to_polar(x)
-        a = self.speed(r)
-        return np.stack([a * np.sin(th), -a * np.cos(th)], axis=-1)
+        return azimuthal(self.speed(r), th)
 
     def pressure(self, r):
         return np.interp(np.asarray(r, dtype=float), self.profile.grid, self._pressure)
-
-
-def lift_to_2d(profile: RadialProfile) -> AzimuthalField:
-    return AzimuthalField(profile)

@@ -27,13 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AnnulusGeometry, SubsolutionParams, cartesian_to_polar, polar_to_cartesian
+from .geometry import (
+    AnnulusGeometry,
+    SubsolutionParams,
+    cartesian_to_polar,
+    polar_to_cartesian,
+    polar_vector,
+)
 from .quadrature import QuadratureRule, annulus_rule, edges_with_breaks, panel_rule, spacetime_rule
 from .subsolution import (
     TurbulentRegion,
     alpha,
     alpha0,
     alpha_partials,
+    azimuthal,
     beta,
     ebar,
     gamma,
@@ -67,29 +74,24 @@ class BumpProfile:
         self.b = float(b)
         self.power = int(power)
 
-    def _u(self, s):
-        return (2.0 * np.asarray(s, dtype=float) - self.a - self.b) / (self.b - self.a)
+    def _uw(self, s):
+        """The affine coordinate u and the base 1 - u^2 (zero outside (a, b))."""
+        u = (2.0 * np.asarray(s, dtype=float) - self.a - self.b) / (self.b - self.a)
+        return u, np.where(u**2 < 1.0, 1.0 - u**2, 0.0)
 
     def value(self, s):
-        u = self._u(s)
-        inside = u**2 < 1.0
-        w = np.where(inside, 1.0 - u**2, 0.0)
-        return w**self.power
+        return self._uw(s)[1] ** self.power
 
     def deriv(self, s):
-        u = self._u(s)
+        u, w = self._uw(s)
         p = self.power
         du = 2.0 / (self.b - self.a)
-        inside = u**2 < 1.0
-        w = np.where(inside, 1.0 - u**2, 0.0)
         return -2.0 * p * u * w ** (p - 1) * du
 
     def deriv2(self, s):
-        u = self._u(s)
+        u, w = self._uw(s)
         p = self.power
         du = 2.0 / (self.b - self.a)
-        inside = u**2 < 1.0
-        w = np.where(inside, 1.0 - u**2, 0.0)
         return (-2.0 * p * w ** (p - 1) + 4.0 * p * (p - 1) * u**2 * w ** (p - 2)) * du**2
 
 
@@ -139,7 +141,6 @@ def _check_support(geom: AnnulusGeometry, r_support, t_support):
         raise SupportError(
             f"support r={r_support}, t={t_support} is not strictly inside the domain"
         )
-    return margin
 
 
 class ScalarBumpField:
@@ -150,10 +151,9 @@ class ScalarBumpField:
     """
 
     def __init__(self, geom: AnnulusGeometry, r_support, fourier: FourierPoly, t_support=None):
-        self.geom = geom
         self.r_support = tuple(map(float, r_support))
         self.t_support = None if t_support is None else tuple(map(float, t_support))
-        self.margin = _check_support(geom, self.r_support, self.t_support)
+        _check_support(geom, self.r_support, self.t_support)
         self._br = BumpProfile(*self.r_support)
         self._bt = None if self.t_support is None else BumpProfile(*self.t_support)
         self._fourier = fourier
@@ -183,14 +183,16 @@ class ScalarBumpField:
         f2 = self._fourier.deriv2(th)
         return b * f, b1 * f, b * f1, b2 * f, b1 * f1, b * f2
 
-    def gradient(self, x, t=0.0):
+    def _gradient(self, x, time_factor):
+        """Spatial gradient times ``time_factor`` (b_t or its derivative)."""
         r, th = cartesian_to_polar(x)
+        p_r = self._br.deriv(r) * self._fourier.value(th)
+        p_th = self._br.value(r) * self._fourier.deriv(th)
+        return polar_vector(p_r * time_factor, p_th / r * time_factor, th)
+
+    def gradient(self, x, t=0.0):
         bt, _ = self._time_factor(np.asarray(t, dtype=float))
-        _, p_r, p_th, _, _, _ = self.polar_partials(r, th)
-        c, s = np.cos(th), np.sin(th)
-        gx = (c * p_r - s / r * p_th) * bt
-        gy = (s * p_r + c / r * p_th) * bt
-        return np.stack([gx, gy], axis=-1)
+        return self._gradient(x, bt)
 
     def hessian(self, x, t=0.0):
         """Cartesian second derivatives (p_xx, p_xy, p_yy)."""
@@ -228,10 +230,9 @@ class VectorBumpField:
 
     def __init__(self, geom: AnnulusGeometry, r_support, fourier_x: FourierPoly,
                  fourier_y: FourierPoly, t_support):
-        self.geom = geom
         self.r_support = tuple(map(float, r_support))
         self.t_support = tuple(map(float, t_support))
-        self.margin = _check_support(geom, self.r_support, self.t_support)
+        _check_support(geom, self.r_support, self.t_support)
         self._br = BumpProfile(*self.r_support)
         self._bt = BumpProfile(*self.t_support)
         self._fx = fourier_x
@@ -253,14 +254,11 @@ class VectorBumpField:
         bt = self._bt.value(t)
         b = self._br.value(r)
         b1 = self._br.deriv(r)
-        c, s = np.cos(th), np.sin(th)
-        out = np.empty(np.shape(r) + (2, 2))
-        for i, fourier in enumerate((self._fx, self._fy)):
-            f = fourier.value(th)
-            f1 = fourier.deriv(th)
-            out[..., i, 0] = (c * b1 * f - s / r * b * f1) * bt
-            out[..., i, 1] = (s * b1 * f + c / r * b * f1) * bt
-        return out
+        rows = [
+            polar_vector(b1 * fourier.value(th) * bt, b * fourier.deriv(th) / r * bt, th)
+            for fourier in (self._fx, self._fy)
+        ]
+        return np.stack(rows, axis=-2)
 
 
 class PerpGradientField:
@@ -270,10 +268,8 @@ class PerpGradientField:
         if psi.t_support is None:
             raise ValueError("perp-gradient test fields need a time bump")
         self.psi = psi
-        self.geom = psi.geom
         self.r_support = psi.r_support
         self.t_support = psi.t_support
-        self.margin = psi.margin
 
     def value(self, x, t):
         g = self.psi.gradient(x, t)
@@ -281,13 +277,8 @@ class PerpGradientField:
 
     def time_deriv(self, x, t):
         # psi = S(x) b_t(t): swap the time factor for its derivative
-        r, th = cartesian_to_polar(x)
-        _, p_r, p_th, _, _, _ = self.psi.polar_partials(r, th)
-        dbt = self.psi._bt.deriv(np.asarray(t, dtype=float))
-        c, s = np.cos(th), np.sin(th)
-        gx = (c * p_r - s / r * p_th) * dbt
-        gy = (s * p_r + c / r * p_th) * dbt
-        return np.stack([gy, -gx], axis=-1)
+        g = self.psi._gradient(x, self.psi._bt.deriv(np.asarray(t, dtype=float)))
+        return np.stack([g[..., 1], -g[..., 0]], axis=-1)
 
     def gradient(self, x, t):
         p_xx, p_xy, p_yy = self.psi.hessian(x, t)
@@ -393,8 +384,7 @@ def weak_residual_linear_system(geom: AnnulusGeometry, params: SubsolutionParams
         quad = fan_spacetime_rule(geom, params, phi.r_support, phi.t_support, cells, order)
     r, th, t = quad.r, quad.theta, quad.t
     x = polar_to_cartesian(r, th)
-    a = alpha(r, t, geom, params)
-    v = np.stack([a * np.sin(th), -a * np.cos(th)], axis=-1)
+    v = azimuthal(alpha(r, t, geom, params), th)
     u11, u12 = ubar_entries(r, th, t, geom, params)
     q = qbar(r, t, geom, params)
     phi_t = phi.time_deriv(x, t)
@@ -419,7 +409,7 @@ def weak_residual_divergence(velocity, p, geom: AnnulusGeometry, t: float = 0.0,
     if quad is None:
         quad = annulus_rule(geom, r_cells=cells[0], theta_cells=cells[1], order=order,
                             r_span=p.r_support)
-    x = quad.points_xy()
+    x = polar_to_cartesian(quad.r, quad.theta)
     v = velocity(x, t)
     g = p.gradient(x, t)
     return quad.integrate(v[..., 0] * g[..., 0] + v[..., 1] * g[..., 1])
@@ -448,28 +438,26 @@ class RefinementStudy:
         return bool(res[-1] <= max(self.floor, np.abs(self.residuals[0])))
 
 
+def _refinement(residual, base_cells, levels: int) -> RefinementStudy:
+    """``residual(cells)`` on ``levels`` grids, doubling every cell count per level."""
+    grids = tuple(tuple(c * 2**k for c in base_cells) for k in range(levels))
+    return RefinementStudy(levels=grids, residuals=np.asarray([residual(cells) for cells in grids]))
+
+
 def linear_system_refinement(geom, params, phi, levels: int = 3,
                              base_cells=(2, 2, 2), order: int = 3) -> RefinementStudy:
-    residuals = []
-    lvl = []
-    for k in range(levels):
-        cells = tuple(c * 2**k for c in base_cells)
-        residuals.append(weak_residual_linear_system(geom, params, phi, cells=cells, order=order))
-        lvl.append(cells)
-    return RefinementStudy(levels=tuple(lvl), residuals=np.asarray(residuals))
+    return _refinement(
+        lambda cells: weak_residual_linear_system(geom, params, phi, cells=cells, order=order),
+        base_cells, levels,
+    )
 
 
 def divergence_refinement(velocity, p, geom, t: float = 0.0, levels: int = 3,
                           base_cells=(2, 2), order: int = 2) -> RefinementStudy:
-    residuals = []
-    lvl = []
-    for k in range(levels):
-        cells = tuple(c * 2**k for c in base_cells)
-        residuals.append(
-            weak_residual_divergence(velocity, p, geom, t=t, cells=cells, order=order)
-        )
-        lvl.append(cells)
-    return RefinementStudy(levels=tuple(lvl), residuals=np.asarray(residuals))
+    return _refinement(
+        lambda cells: weak_residual_divergence(velocity, p, geom, t=t, cells=cells, order=order),
+        base_cells, levels,
+    )
 
 
 def _require_away_from_band(geom, params, r, t, h):

@@ -198,7 +198,7 @@ def test_07_viscosity_limit_and_mms():
 
 
 def test_08_boundary_layer_scaling():
-    chi = bl.build_chi()
+    chi = bl.SmoothstepCutoff()
     psi = bl.SineStreamField(GEOM)
     v = bl.HolderVelocity(GEOM, 0.5)
     study = bl.scaling_study(v, psi, chi, [0.04, 0.02, 0.01, 0.005], GEOM)
@@ -217,7 +217,7 @@ def test_08_boundary_layer_scaling():
 
 
 def test_09_cutoff_strong_approximation():
-    chi = bl.build_chi()
+    chi = bl.SmoothstepCutoff()
     psi = bl.SineStreamField(GEOM)
     v = bl.HolderVelocity(GEOM, 0.5)
     study = bl.scaling_study(v, psi, chi, [0.04, 0.02, 0.01, 0.005], GEOM)

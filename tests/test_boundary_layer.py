@@ -8,7 +8,7 @@ from rotsub import weakform as wf
 from rotsub.geometry import AnnulusGeometry, boundary_distance, polar_to_cartesian
 
 GEOM = AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=1.0)
-CHI = bl.build_chi()
+CHI = bl.SmoothstepCutoff()
 PSI = bl.SineStreamField(GEOM)
 
 
@@ -92,22 +92,22 @@ class TestStreamField:
 class TestCutoffField:
     def test_eps_too_large_rejected(self):
         with pytest.raises(ValueError):
-            bl.build_w_eps(PSI, CHI, 0.3, GEOM)
+            bl.CutoffField(PSI, CHI, 0.3, GEOM)
 
     def test_identity_outside_collar(self):
-        field = bl.build_w_eps(PSI, CHI, 0.02, GEOM)
+        field = bl.CutoffField(PSI, CHI, 0.02, GEOM)
         x = polar_to_cartesian(1.0 + 0.06, 1.2)  # d = 3 eps
         assert np.max(np.abs(field.value(x) - PSI.w_vector(x))) < 1e-15
         assert np.max(np.abs(field.diff_value(x))) == 0.0
 
     def test_zero_inside_inner_collar(self):
-        field = bl.build_w_eps(PSI, CHI, 0.02, GEOM)
+        field = bl.CutoffField(PSI, CHI, 0.02, GEOM)
         for point in (polar_to_cartesian(1.01, 0.7), polar_to_cartesian(1.99, 4.0)):
             assert np.max(np.abs(field.value(point))) == 0.0
 
     def test_frame_components_match_vector_projection(self):
         # product-rule vector route vs the scalar closed forms
-        field = bl.build_w_eps(PSI, CHI, 0.03, GEOM)
+        field = bl.CutoffField(PSI, CHI, 0.03, GEOM)
         rng = np.random.default_rng(2)
         d = rng.uniform(1e-4, 2 * 0.03, 300)
         th = rng.uniform(0, 2 * math.pi, 300)
@@ -126,7 +126,7 @@ class TestCutoffField:
     def test_frame_tensor_matches_fd(self):
         """The four derivative factors are directional derivatives of w_eps - w."""
         eps = 0.04
-        field = bl.build_w_eps(PSI, CHI, eps, GEOM)
+        field = bl.CutoffField(PSI, CHI, eps, GEOM)
         rng = np.random.default_rng(3)
         n = 200
         d = rng.uniform(0.15 * eps, 1.9 * eps, n)
@@ -151,7 +151,7 @@ class TestCutoffField:
                 assert np.max(np.abs(parts[1] - fd_t)) < 1e-6 * scale
 
     def test_cutoff_field_divergence_free(self):
-        field = bl.build_w_eps(PSI, CHI, 0.05, GEOM)
+        field = bl.CutoffField(PSI, CHI, 0.05, GEOM)
         p = wf.ScalarBumpField(
             GEOM, (1.02, 1.98), wf.FourierPoly(((0, 1.0, 0.0), (1, 0.5, 0.3)))
         )

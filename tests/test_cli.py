@@ -287,6 +287,9 @@ class TestVerdictsNeedEvidence:
         ["burgers", "--burgers.t=0"],
         ["burgers", "--burgers.t=-0.5"],
         ["residual", "--residual.levels=1"],
+        ["residual", "--residual.fd_points=0"],
+        ["residual", "--residual.fd_h=0"],
+        ["viscosity", "--viscosity.t_probe=0"],
     ])
     def test_evidence_free_settings_are_config_errors(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
@@ -300,6 +303,9 @@ class TestVerdictsNeedEvidence:
     ["boundary", "--boundary.eps", "0.04,0.02"],
     ["viscosity", "--viscosity.nu", "0.01,0.001"],
     ["residual", "--params.lambda", "0.001"],
+    ["residual", "--residual.order", "0"],
+    ["residual", "--residual.fd_h", "-0.001"],
+    ["burgers", "--burgers.n_cells", "0,1"],
 ])
 def test_domain_errors_are_config_errors(tmp_path, argv):
     result = run_cli(*argv, "--out", str(tmp_path))
@@ -307,3 +313,18 @@ def test_domain_errors_are_config_errors(tmp_path, argv):
     assert len(result.stderr.strip().splitlines()) == 1
     assert result.stderr.startswith("config error: ")
     assert not (tmp_path / f"{argv[0]}.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["subsolution", "--grids.n_r", "10", "--grids.n_theta", "4", "--grids.n_t", "3"],
+    ["energy"],
+])
+def test_inadmissible_lambda_fails(tmp_path, argv):
+    # lambda = 0.3 exceeds 1/R^2 = 0.25: the construction's own checks may
+    # hold, but the verdict must not be PASS
+    result = run_cli(*argv, "--params.lambda", "0.3", "--out", str(tmp_path))
+    assert result.returncode == 1
+    results = read_report(tmp_path, argv[0])["results"]
+    assert results["ok"] is False
+    assert [(v["name"], v["bound"]) for v in results["violations"]] == [("lambda_upper", 0.25)]
+    assert "violated:" in result.stdout

@@ -5,7 +5,7 @@ import pytest
 
 from rotsub import subsolution as ss
 from rotsub.burgers import fan_interval
-from rotsub.geometry import AnnulusGeometry, SubsolutionParams, polar_to_cartesian
+from rotsub.geometry import AnnulusGeometry, SubsolutionParams, cartesian_to_polar, polar_to_cartesian
 
 GEOM = AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=1.0)
 PARAMS = SubsolutionParams(lam=0.1, epsilon=0.5)
@@ -288,9 +288,13 @@ class TestConstraintStructure:
         assert report.max_eq_dev_outside < 1e-13
 
     def test_t0_all_equality(self):
+        # equality holds on every t = 0 sample, but with no band sample the
+        # strict gap has no evidence, so the check cannot pass
         report = ss.check_constraint_structure(GEOM, PARAMS, n_r=50, n_theta=8, n_t=1)
         assert report.n_in_band == 0
-        assert report.ok
+        assert report.max_eq_dev_outside == 0
+        assert report.first_violation["kind"] == "no_evidence"
+        assert not report.ok
 
     def test_sub_annulus_restriction(self):
         report = ss.check_constraint_structure(
@@ -325,3 +329,21 @@ class TestConstraintStructure:
         # t = 0 rows carry in_U = False
         t0_rows = cols["t"] == 0.0
         assert not np.any(cols["in_U"][t0_rows])
+
+        # the table's vbar, beta and gamma are the field functions themselves,
+        # bit for bit (signed zeros included: vbar_x is -0.0 at theta = 0 inside r0)
+        r = np.array([1.3, GEOM.r0, 1.7])
+        theta = np.array([0.0, 0.5 * math.pi, math.pi])
+        t = np.array([0.0, 0.5])
+        cols = ss.sample_columns(GEOM, PARAMS, r, theta, t)
+        T, Rg, TH = np.meshgrid(t, r, theta, indexing="ij")
+        x = polar_to_cartesian(Rg, TH)
+        r_back, th_back = cartesian_to_polar(x)
+        assert np.array_equal(r_back, Rg) and np.array_equal(th_back, TH)  # exact round trip
+        v = ss.vbar(x, T, GEOM, PARAMS)
+        assert cols["vbar_x"].tobytes() == v[..., 0].ravel().tobytes()
+        assert cols["vbar_y"].tobytes() == v[..., 1].ravel().tobytes()
+        assert cols["beta"].tobytes() == ss.beta(Rg, T, GEOM, PARAMS).ravel().tobytes()
+        assert cols["gamma"].tobytes() == ss.gamma(Rg, T, GEOM, PARAMS).ravel().tobytes()
+        inside_zero = (cols["r"] < GEOM.r0) & (cols["theta"] == 0.0)
+        assert np.all(np.signbit(cols["vbar_x"][inside_zero]))

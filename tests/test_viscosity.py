@@ -153,14 +153,14 @@ class TestLift:
         from rotsub.burgers import RadialProfile
 
         profile = RadialProfile(grid=np.linspace(1.0, 2.0, 11), values=np.zeros(11), t=0.0)
-        field = vc.lift_to_2d(profile)
+        field = vc.AzimuthalField(profile)
         x = polar_to_cartesian(np.array([1.3, 1.9]), np.array([0.2, 4.0]))
         assert np.array_equal(field.velocity(x), np.zeros((2, 2)))
         assert field.pressure(1.7) == 0.0
 
     def test_initial_profile_lifts_to_initial_velocity(self):
         grid = vc.radial_grid(GEOM, 2000)
-        field = vc.lift_to_2d(vc.initial_profile(GEOM, grid))
+        field = vc.AzimuthalField(vc.initial_profile(GEOM, grid))
         rng = np.random.default_rng(20)
         r = rng.uniform(1.01, 1.99, 200)
         r = r[np.abs(r - GEOM.r0) > 2e-3]  # stay off the interpolated jump cell
@@ -172,7 +172,7 @@ class TestLift:
     def test_lifted_field_divergence_free(self):
         problem = vc.ParabolicProblem(geom=GEOM, nu=1e-3, n=400, dt=2e-3)
         record = vc.solve_parabolic(problem, [0.5])
-        field = vc.lift_to_2d(record.snapshots[-1])
+        field = vc.AzimuthalField(record.snapshots[-1])
         p = wf.ScalarBumpField(
             GEOM, (1.1, 1.9), wf.FourierPoly(((0, 1.0, 0.0), (2, 0.5, 0.4)))
         )
@@ -184,7 +184,7 @@ class TestLift:
         values = 1.0 / grid**2  # stationary branch magnitude
         from rotsub.burgers import RadialProfile
 
-        field = vc.lift_to_2d(RadialProfile(grid=grid, values=values, t=0.0))
+        field = vc.AzimuthalField(RadialProfile(grid=grid, values=values, t=0.0))
         # int_1^r s^-5 ds = (1 - r^-4)/4
         got = field.pressure(1.8)
         assert got == pytest.approx((1.0 - 1.8**-4) / 4.0, abs=1e-7)
