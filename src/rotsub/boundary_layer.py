@@ -255,19 +255,25 @@ def _collar_nodes(geom: AnnulusGeometry, eps: float, sign: float,
     return D, TH, np.outer(dw, thw) * r
 
 
-def _collar_report(v: HolderVelocity, field: CutoffField, t: float = 0.0,
-                   order: int = 12, theta_panels: int = 8):
-    """The four collar integrals I1..I4 and their ``direct`` Cartesian counterpart."""
-    totals = {"I1": 0.0, "I2": 0.0, "I3": 0.0, "I4": 0.0, "direct": 0.0}
+def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff,
+                     eps: float, geom: AnnulusGeometry, t: float = 0.0):
+    """The four collar integrals and their direct counterpart at one cutoff width.
+
+    Returns ``(I1, I2, I3, I4, direct)``, where ``direct`` is the quadrature of
+    (v . grad(w_eps - w)) . v on the same nodes; the split is consistent when
+    I1 + I2 + I3 + I4 equals it.
+    """
+    field = CutoffField(psi, chi, eps, geom)
+    i1 = i2 = i3 = i4 = direct = 0.0
     for sign in (1.0, -1.0):
-        D, TH, W = _collar_nodes(field.geom, field.eps, sign, order, theta_panels)
+        D, TH, W = _collar_nodes(geom, field.eps, sign)
         v_nu = v.normal_component(D, TH)
         v_tau = v.tangential_component(D, TH)
         t_nn, t_nt, t_tn, t_tt = field.frame_tensor(D, TH, sign, t)
-        totals["I1"] += float(np.sum(W * v_nu * t_nn * v_nu))
-        totals["I2"] += float(np.sum(W * v_nu * t_nt * v_tau))
-        totals["I3"] += float(np.sum(W * v_tau * t_tn * v_nu))
-        totals["I4"] += float(np.sum(W * v_tau * t_tt * v_tau))
+        i1 += float(np.sum(W * v_nu * t_nn * v_nu))
+        i2 += float(np.sum(W * v_nu * t_nt * v_tau))
+        i3 += float(np.sum(W * v_tau * t_tn * v_nu))
+        i4 += float(np.sum(W * v_tau * t_tt * v_tau))
 
         # direct route: rotate the same tensor into the Cartesian gradient of
         # (w_eps - w) and contract it with the Cartesian velocity.  This checks
@@ -284,25 +290,8 @@ def _collar_report(v: HolderVelocity, field: CutoffField, t: float = 0.0,
         )
         v_cart = sign * (v_nu[..., None] * e_r + v_tau[..., None] * e_th)
         contraction = np.einsum("...i,...ij,...j->...", v_cart, grad, v_cart)
-        totals["direct"] += float(np.sum(W * contraction))
-    return totals
-
-
-def compute_I_terms(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff,
-                    eps: float, geom: AnnulusGeometry, t: float = 0.0,
-                    order: int = 12, theta_panels: int = 8):
-    """The four collar integrals (I1, I2, I3, I4) at one cutoff width."""
-    field = CutoffField(psi, chi, eps, geom)
-    totals = _collar_report(v, field, t, order, theta_panels)
-    return totals["I1"], totals["I2"], totals["I3"], totals["I4"]
-
-
-def decomposition_error(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff,
-                        eps: float, geom: AnnulusGeometry, t: float = 0.0) -> float:
-    """|I1 + I2 + I3 + I4 - direct quadrature of (v . grad(w_eps - w)) . v|."""
-    field = CutoffField(psi, chi, eps, geom)
-    totals = _collar_report(v, field, t)
-    return abs(totals["I1"] + totals["I2"] + totals["I3"] + totals["I4"] - totals["direct"])
+        direct += float(np.sum(W * contraction))
+    return i1, i2, i3, i4, direct
 
 
 def w_eps_l2_distance(psi: SineStreamField, chi: SmoothstepCutoff, eps: float,
@@ -355,10 +344,8 @@ def scaling_study(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff
     consistency = np.empty(eps_arr.size)
     l2 = np.empty(eps_arr.size)
     for i, eps in enumerate(eps_arr):
-        field = CutoffField(psi, chi, float(eps), geom)
-        totals = _collar_report(v, field, t)
-        values[i] = (totals["I1"], totals["I2"], totals["I3"], totals["I4"])
-        consistency[i] = abs(values[i].sum() - totals["direct"])
+        *values[i], direct = collar_integrals(v, psi, chi, float(eps), geom, t)
+        consistency[i] = abs(values[i].sum() - direct)
         l2[i] = w_eps_l2_distance(psi, chi, float(eps), geom, t)
 
     log_eps = np.log(eps_arr)

@@ -3,14 +3,15 @@
 Subcommands: validate | subsolution | energy | burgers | residual | viscosity
 | boundary.  Configuration is a JSON object with flat dotted keys (see
 ``DEFAULT_CONFIG``); every key can be overridden on the command line by a flag
-of the same name.  Exit codes: 0 all checks pass, 1 a check failed, 2 for
-usage or configuration errors.
+of the same name.  Exit codes: 0 all checks pass, 1 a check failed or
+measured nothing (``evidence`` 0), 2 for usage or configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -63,8 +64,6 @@ _INT_KEYS = {
 }
 _LIST_KEYS = {"burgers.n_cells", "viscosity.nu", "boundary.eps"}
 
-COMMANDS = ("validate", "subsolution", "energy", "burgers", "residual", "viscosity", "boundary")
-
 
 class ConfigError(Exception):
     """Malformed configuration: unknown key, bad type, missing required field."""
@@ -114,7 +113,10 @@ def load_config(path=None, overrides=None) -> dict:
         config.update(raw)
     for key, value in (overrides or {}).items():
         config[key] = value
-    return {key: _coerce(key, value) for key, value in config.items()}
+    config = {key: _coerce(key, value) for key, value in config.items()}
+    if config["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {config['seed']}")
+    return config
 
 
 def _checked(what: str, call, *args, **kwargs):
@@ -176,47 +178,49 @@ def _write_report(out_dir: Path, name: str, report: dict):
 
 
 def _violations(report) -> list:
-    """Print each violated admissibility bound and return them as JSON objects."""
-    for v in report.violations:
-        print(f"violated: {v.description} (value {v.value}, bound {v.bound})")
+    """The violated admissibility bounds as JSON objects."""
     return [
         {"name": v.name, "value": v.value, "bound": v.bound, "description": v.description}
         for v in report.violations
     ]
 
 
-def cmd_validate(config, out_dir: Path):
+# Each handler maps a config to ``(columns, results, summary)``: the CSV
+# columns (header -> values, or None for no table), the JSON results with the
+# verdict ``ok`` and the ``evidence`` count of measured quantities behind it,
+# and the text printed before ": PASS" or ": FAIL".
+
+def cmd_validate(config):
     geom = _geometry(config)
     params = _params(config)
     report = validate_params(geom, params)
-    payload = {
+    results = {
         "lambda": params.lam,
         "epsilon": params.epsilon,
         "lambda_bound": report.lambda_bound,
-        "epsilon_bound": report.epsilon_bound,
+        # strict JSON has no infinity: with rho^2 lam >= 1 epsilon has no upper bound
+        "epsilon_bound": report.epsilon_bound if math.isfinite(report.epsilon_bound) else None,
         "epsilon_strict": report.epsilon_strict,
         "violations": _violations(report),
+        "evidence": 2,
         "ok": report.ok,
     }
     if report.ok and not report.epsilon_strict:
-        payload["warning"] = "epsilon >= 1: the energy gap inside the band is not strict"
-    print(f"validate: {'PASS' if report.ok else 'FAIL'}")
-    return (0 if report.ok else 1), payload
+        results["warning"] = "epsilon >= 1: the energy gap inside the band is not strict"
+    return None, results, "validate"
 
 
-def cmd_subsolution(config, out_dir: Path):
+def cmd_subsolution(config):
     geom = _geometry(config)
     params = _params(config)
     n_r, n_theta, n_t = config["grids.n_r"], config["grids.n_theta"], config["grids.n_t"]
-    r = geom.rho + (np.arange(n_r) + 0.5) * geom.width / n_r
-    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    t = np.linspace(0.0, geom.T, n_t)
-    write_csv(out_dir / "subsolution.csv", sample_columns(geom, params, r, theta, t))
-
+    if n_r < 0 or n_theta < 1 or n_t < 0:
+        raise ConfigError(
+            f"grids need n_r >= 0, n_theta >= 1 and n_t >= 0, got {n_r}, {n_theta} and {n_t}"
+        )
     check = check_constraint_structure(geom, params, n_r=n_r, n_theta=n_theta, n_t=n_t)
     admissible = validate_params(geom, params)
-    ok = check.ok and admissible.ok
-    payload = {
+    results = {
         "n_samples": check.n_samples,
         "n_in_band": check.n_in_band,
         "strictness_applicable": check.strictness_applicable,
@@ -226,13 +230,17 @@ def cmd_subsolution(config, out_dir: Path):
         "max_eq_dev_outside": check.max_eq_dev_outside,
         "first_violation": check.first_violation,
         "violations": _violations(admissible),
-        "ok": ok,
+        "evidence": check.n_samples,
+        "ok": check.ok and admissible.ok,
     }
-    print(f"subsolution constraint check: {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), payload
+    # the table is built only once the check is done, so the two never share memory
+    r = geom.rho + (np.arange(n_r) + 0.5) * geom.width / n_r
+    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
+    t = np.linspace(0.0, geom.T, n_t)
+    return sample_columns(geom, params, r, theta, t), results, "subsolution constraint check"
 
 
-def cmd_energy(config, out_dir: Path):
+def cmd_energy(config):
     geom = _geometry(config)
     params = _params(config)
     if config["energy.n_times"] < 2:
@@ -241,9 +249,9 @@ def cmd_energy(config, out_dir: Path):
     energies = weakform.energy_series(geom, params, times)
     e0 = weakform.initial_energy(geom)
     deficit = weakform.energy_deficit(geom, params, times)
-    write_csv(out_dir / "energy.csv", {
+    columns = {
         "t": times, "energy_total": energies, "E0": np.full_like(times, e0), "deficit": e0 - energies,
-    })
+    }
     admissible = validate_params(geom, params)
     if params.epsilon == 0.0:
         ok = bool(np.max(np.abs(energies - e0)) < 1e-10 * e0)
@@ -259,21 +267,20 @@ def cmd_energy(config, out_dir: Path):
             and np.all(np.diff(energies)[resolved] < 0.0)
         )
         behavior = "strictly decreasing"
-    ok = ok and admissible.ok
-    payload = {
+    results = {
         "E0": e0,
         "times": times.tolist(),
         "energy": energies.tolist(),
         "D": deficit.tolist(),
         "expected_behavior": behavior,
         "violations": _violations(admissible),
-        "ok": ok,
+        "evidence": times.size,
+        "ok": ok and admissible.ok,
     }
-    print(f"energy ({behavior}): {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), payload
+    return columns, results, f"energy ({behavior})"
 
 
-def cmd_burgers(config, out_dir: Path):
+def cmd_burgers(config):
     geom = _geometry(config)
     params = _params(config)
     t_probe = config["burgers.t"]
@@ -296,24 +303,23 @@ def cmd_burgers(config, out_dir: Path):
         l1.append(err1)
         linf.append(err_inf)
     ratios = [l1[i] / l1[i + 1] for i in range(len(l1) - 1)]
-    write_csv(out_dir / "burgers.csv", {
+    columns = {
         "n_cells": meshes, "l1_error": l1, "linf_interior": linf, "l1_ratio": [float("nan"), *ratios],
-    })
-    ok = in_bounds and all(1.7 <= ratio <= 2.3 for ratio in ratios)
-    payload = {
+    }
+    results = {
         "t": t_probe,
         "n_cells": list(meshes),
         "l1_error": l1,
         "linf_interior": linf,
         "l1_ratios": ratios,
         "max_principle_ok": in_bounds,
-        "ok": ok,
+        "evidence": len(ratios),
+        "ok": in_bounds and all(1.7 <= ratio <= 2.3 for ratio in ratios),
     }
-    print(f"burgers oracle (L1 ratios {['%.2f' % r for r in ratios]}): {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), payload
+    return columns, results, f"burgers oracle (L1 ratios {['%.2f' % r for r in ratios]})"
 
 
-def cmd_residual(config, out_dir: Path):
+def cmd_residual(config):
     geom = _geometry(config)
     params = _params(config)
     levels = config["residual.levels"]
@@ -334,23 +340,24 @@ def cmd_residual(config, out_dir: Path):
 
     table = {"field": [], "cells": [], "residual": []}
     all_ok = True
-    field_payload = {}
+    measured = 0
+    field_results = {}
     for name, phi in fields.items():
         study = _checked(
             "residual.order", weakform.linear_system_refinement, geom, params, phi,
             levels=levels, order=order,
         )
         all_ok = all_ok and study.converged
+        measured += int(np.count_nonzero(study.measured))
         for cells, res in zip(study.levels, study.residuals):
             table["field"].append(name)
             table["cells"].append("x".join(map(str, cells)))
             table["residual"].append(res)
-        field_payload[name] = {
+        field_results[name] = {
             "residuals": study.residuals.tolist(),
             "orders": study.orders.tolist(),
             "converged": study.converged,
         }
-    write_csv(out_dir / "residual.csv", table)
 
     scalar = weakform.ScalarBumpField(
         geom,
@@ -371,37 +378,35 @@ def cmd_residual(config, out_dir: Path):
         ratios.append(float(np.median(np.abs(coarse[keep]) / np.abs(fine[keep]))))
     fd_ok = all(3.5 <= ratio <= 4.5 for ratio in ratios)
 
-    ok = bool(all_ok and div_ok and fd_ok)
-    payload = {
-        "fields": field_payload,
+    results = {
+        "fields": field_results,
         "divergence_residual": div_residual,
         "fd_median_ratios": ratios,
-        "ok": ok,
+        "evidence": measured,
+        "ok": bool(all_ok and div_ok and fd_ok),
     }
-    print(f"weak-form residuals: {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), payload
+    return table, results, "weak-form residuals"
 
 
-def cmd_viscosity(config, out_dir: Path):
+def cmd_viscosity(config):
     geom = _geometry(config)
     sweep = _checked(
         "viscosity settings", viscosity.vanishing_viscosity_study, geom, config["viscosity.nu"],
         config["viscosity.t_probe"], n=config["viscosity.n"], dt=config["viscosity.dt"],
     )
-    write_csv(out_dir / "viscosity.csv", {"nu": sweep.nu, "l2_rdr_distance": sweep.distances})
-    ok = sweep.monotone
-    payload = {
+    results = {
         "nu": sweep.nu.tolist(),
         "distances": sweep.distances.tolist(),
         "t_probe": sweep.t_probe,
         "slope": sweep.slope,
-        "ok": ok,
+        "evidence": sweep.nu.size,
+        "ok": sweep.monotone,
     }
-    print(f"viscosity sweep (slope {sweep.slope:.3f}): {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), payload
+    columns = {"nu": sweep.nu, "l2_rdr_distance": sweep.distances}
+    return columns, results, f"viscosity sweep (slope {sweep.slope:.3f})"
 
 
-def cmd_boundary(config, out_dir: Path):
+def cmd_boundary(config):
     geom = _geometry(config)
     alpha = config["boundary.holder_alpha"]
     chi = boundary_layer.SmoothstepCutoff()
@@ -410,18 +415,13 @@ def cmd_boundary(config, out_dir: Path):
     report = _checked(
         "boundary.eps", boundary_layer.scaling_study, v, psi, chi, config["boundary.eps"], geom,
     )
-    write_csv(out_dir / "boundary.csv", {
+    columns = {
         "eps": report.eps,
         **{f"I{k + 1}": report.I_values[:, k] for k in range(4)},
         "decomposition_error": report.consistency,
         "l2_distance": report.l2_distances,
-    })
-    ok = bool(
-        report.slopes_meet_bounds()
-        and np.max(report.consistency) < 1e-8
-        and report.l2_slope >= 0.5
-    )
-    payload = {
+    }
+    results = {
         "holder_alpha": alpha,
         "eps": report.eps.tolist(),
         "I_values": report.I_values.tolist(),
@@ -430,11 +430,15 @@ def cmd_boundary(config, out_dir: Path):
         "vacuous": list(report.vacuous),
         "max_decomposition_error": float(np.max(report.consistency)),
         "l2_slope": report.l2_slope,
-        "ok": ok,
+        "evidence": report.vacuous.count(False),
+        "ok": bool(
+            report.slopes_meet_bounds()
+            and np.max(report.consistency) < 1e-8
+            and report.l2_slope >= 0.5
+        ),
     }
     slopes_txt = ", ".join("vacuous" if s is None else f"{s:.2f}" for s in report.slopes)
-    print(f"boundary-layer slopes ({slopes_txt}): {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), payload
+    return columns, results, f"boundary-layer slopes ({slopes_txt})"
 
 
 _HANDLERS = {
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct the rotational annulus subsolution and verify its properties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         cmd = sub.add_parser(name, help=f"run the {name} checks")
         cmd.add_argument("--config", default=None, help="JSON config file with dotted keys")
         cmd.add_argument("--out", default=".", help="output directory for reports and CSV files")
@@ -480,22 +484,29 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        code, payload = _HANDLERS[args.command](config, out_dir)
-        report = {
-            "command": args.command,
-            "results": payload,
-            "provenance": {
-                "version": __version__,
-                "seed": config["seed"],
-                "config": config,
-                "wall_time_s": time.perf_counter() - started,
-            },
-        }
-        _write_report(out_dir, args.command, report)
-        return code
+        columns, results, summary = _HANDLERS[args.command](config)
+        if columns is not None:
+            write_csv(out_dir / f"{args.command}.csv", columns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # no verdict passes on zero evidence
+    results["ok"] = bool(results["ok"] and results["evidence"] > 0)
+    for v in results.get("violations", ()):
+        print(f"violated: {v['description']} (value {v['value']}, bound {v['bound']})")
+    print(f"{summary}: {'PASS' if results['ok'] else 'FAIL'}")
+    report = {
+        "command": args.command,
+        "results": results,
+        "provenance": {
+            "version": __version__,
+            "seed": config["seed"],
+            "config": config,
+            "wall_time_s": time.perf_counter() - started,
+        },
+    }
+    _write_report(out_dir, args.command, report)
+    return 0 if results["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ class AnnulusGeometry:
     def width(self) -> float:
         return self.R - self.rho
 
-    @property
-    def area(self) -> float:
-        return math.pi * (self.R**2 - self.rho**2)
-
 
 @dataclass(frozen=True)
 class SubsolutionParams:

@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .burgers import RadialProfile
-from .geometry import AnnulusGeometry, cartesian_to_polar
-from .subsolution import alpha0, azimuthal
+from .geometry import AnnulusGeometry
+from .subsolution import alpha0
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,27 +258,3 @@ def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float,
     slope = float(np.polyfit(np.log(nu_arr), np.log(distances), 1)[0])
     return ViscositySweep(nu=nu_arr, distances=distances, t_probe=t_probe, slope=slope)
 
-
-class AzimuthalField:
-    """Lift of a radial speed profile to the plane: a(r) (sin th, -cos th).
-
-    Divergence-free by construction; the matching radial pressure is
-    p(r) = int_rho^r a(s)^2 / s ds (trapezoid on the profile grid).
-    """
-
-    def __init__(self, profile: RadialProfile):
-        self.profile = profile
-        grid = profile.grid
-        integrand = profile.values**2 / grid
-        parts = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid)
-        self._pressure = np.concatenate([[0.0], np.cumsum(parts)])
-
-    def speed(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.profile.grid, self.profile.values)
-
-    def velocity(self, x, t=None):
-        r, th = cartesian_to_polar(x)
-        return azimuthal(self.speed(r), th)
-
-    def pressure(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.profile.grid, self._pressure)

@@ -429,35 +429,24 @@ class RefinementStudy:
         return np.log2(res[:-1] / res[1:])
 
     @property
+    def measured(self):
+        """Mask of the orders whose two residuals both sit above the roundoff floor."""
+        res = np.abs(self.residuals)
+        return (res[:-1] > self.floor) & (res[1:] > self.floor)
+
+    @property
     def converged(self) -> bool:
         """Orders >= 2 wherever the residual is meaningfully above roundoff."""
         res = np.abs(self.residuals)
-        for k, order in enumerate(self.orders):
-            if res[k] > self.floor and res[k + 1] > self.floor and order < 2.0:
-                return False
-        return bool(res[-1] <= max(self.floor, np.abs(self.residuals[0])))
-
-
-def _refinement(residual, base_cells, levels: int) -> RefinementStudy:
-    """``residual(cells)`` on ``levels`` grids, doubling every cell count per level."""
-    grids = tuple(tuple(c * 2**k for c in base_cells) for k in range(levels))
-    return RefinementStudy(levels=grids, residuals=np.asarray([residual(cells) for cells in grids]))
+        return bool(np.all(self.orders[self.measured] >= 2.0) and res[-1] <= max(self.floor, res[0]))
 
 
 def linear_system_refinement(geom, params, phi, levels: int = 3,
                              base_cells=(2, 2, 2), order: int = 3) -> RefinementStudy:
-    return _refinement(
-        lambda cells: weak_residual_linear_system(geom, params, phi, cells=cells, order=order),
-        base_cells, levels,
-    )
-
-
-def divergence_refinement(velocity, p, geom, t: float = 0.0, levels: int = 3,
-                          base_cells=(2, 2), order: int = 2) -> RefinementStudy:
-    return _refinement(
-        lambda cells: weak_residual_divergence(velocity, p, geom, t=t, cells=cells, order=order),
-        base_cells, levels,
-    )
+    """The linear-system residual on ``levels`` grids, doubling every cell count per level."""
+    grids = tuple(tuple(c * 2**k for c in base_cells) for k in range(levels))
+    residuals = [weak_residual_linear_system(geom, params, phi, cells=cells, order=order) for cells in grids]
+    return RefinementStudy(levels=grids, residuals=np.asarray(residuals))
 
 
 def _require_away_from_band(geom, params, r, t, h):

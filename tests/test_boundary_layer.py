@@ -168,25 +168,25 @@ class TestCutoffField:
 class TestCollarIntegrals:
     def test_zero_normal_velocity_kills_first_three(self):
         v0 = bl.HolderVelocity(GEOM, 0.5, normal_scale=0.0)
-        i1, i2, i3, i4 = bl.compute_I_terms(v0, PSI, CHI, 0.02, GEOM)
+        i1, i2, i3, i4, _ = bl.collar_integrals(v0, PSI, CHI, 0.02, GEOM)
         assert i1 == 0.0 and i2 == 0.0 and i3 == 0.0
         assert i4 != 0.0
 
     def test_zero_stream_function_kills_all(self):
         psi0 = bl.SineStreamField(GEOM, amplitude=0.0)
         v = bl.HolderVelocity(GEOM, 0.5)
-        terms = bl.compute_I_terms(v, psi0, CHI, 0.02, GEOM)
-        assert terms == (0.0, 0.0, 0.0, 0.0)
+        assert bl.collar_integrals(v, psi0, CHI, 0.02, GEOM) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_all_terms_generically_nonzero(self):
         v = bl.HolderVelocity(GEOM, 0.5)
-        terms = bl.compute_I_terms(v, PSI, CHI, 0.02, GEOM)
+        *terms, _ = bl.collar_integrals(v, PSI, CHI, 0.02, GEOM)
         assert all(abs(term) > 1e-12 for term in terms)
 
     def test_decomposition_consistency(self):
         v = bl.HolderVelocity(GEOM, 0.5)
         for eps in (0.04, 0.01):
-            assert bl.decomposition_error(v, PSI, CHI, eps, GEOM) < 1e-8
+            *terms, direct = bl.collar_integrals(v, PSI, CHI, eps, GEOM)
+            assert abs(sum(terms) - direct) < 1e-8
 
     def test_holder_exponent_validated(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotsub import burgers, cli
 
@@ -22,6 +27,16 @@ def run_cli(*args):
 def read_report(out_dir: Path, command: str) -> dict:
     with open(out_dir / f"{command}.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def read_strict_report(out_dir: Path, command: str) -> dict:
+    """The report, refusing NaN and Infinity, which standard JSON does not have."""
+    text = (out_dir / f"{command}.json").read_text(encoding="utf-8")
+    return json.loads(text, parse_constant=_reject)
 
 
 class TestValidateCommand:
@@ -77,6 +92,13 @@ class TestValidateCommand:
         report = read_report(tmp_path, "validate")
         assert report["results"]["epsilon_strict"] is False
         assert "warning" in report["results"]
+
+    def test_unbounded_epsilon_is_null(self, tmp_path):
+        # rho^2 lam >= 1 leaves epsilon without an upper bound
+        assert cli.main(["validate", "--params.lambda", "1", "--out", str(tmp_path)]) == 1
+        results = read_strict_report(tmp_path, "validate")["results"]
+        assert results["epsilon_bound"] is None
+        assert results["evidence"] == 2
 
 
 @pytest.fixture(scope="module")
@@ -255,9 +277,9 @@ def test_burgers_solves_each_mesh_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(burgers, "godunov_solve", counted)
     config = cli.load_config(overrides={"burgers.n_cells": "500,1000,2000"})
-    _, payload = cli.cmd_burgers(config, tmp_path)
+    _, results, _ = cli.cmd_burgers(config)
     assert len(calls) == 3
-    assert payload["max_principle_ok"] is True
+    assert results["max_principle_ok"] is True
 
 
 class TestVerdictsNeedEvidence:
@@ -271,16 +293,20 @@ class TestVerdictsNeedEvidence:
 
     @pytest.mark.parametrize("flag", ["--grids.n_t=1", "--grids.n_r=0"])
     def test_subsolution_without_band_samples_fails(self, tmp_path, flag):
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         assert cli.main(["subsolution", flag, "--out", str(tmp_path)]) == 1
-        text = (tmp_path / "subsolution.json").read_text(encoding="utf-8")
-        results = json.loads(text, parse_constant=reject)["results"]
+        results = read_strict_report(tmp_path, "subsolution")["results"]
         assert results["n_in_band"] == 0
         assert results["min_gap_in_band"] is None
         assert results["first_violation"]["kind"] == "no_evidence"
         assert results["ok"] is False
+
+    def test_residual_with_no_measured_order_fails(self, tmp_path, capsys):
+        # at order 8 every level pair sits below the 1e-13 roundoff floor
+        assert cli.main(["residual", "--residual.order", "8", "--out", str(tmp_path)]) == 1
+        results = read_report(tmp_path, "residual")["results"]
+        assert results["evidence"] == 0
+        assert results["ok"] is False
+        assert capsys.readouterr().out.endswith("weak-form residuals: FAIL\n")
 
     @pytest.mark.parametrize("argv", [
         ["energy", "--energy.n_times=1"],
@@ -290,6 +316,7 @@ class TestVerdictsNeedEvidence:
         ["residual", "--residual.fd_points=0"],
         ["residual", "--residual.fd_h=0"],
         ["viscosity", "--viscosity.t_probe=0"],
+        ["subsolution", "--grids.n_theta=0"],
     ])
     def test_evidence_free_settings_are_config_errors(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
@@ -306,6 +333,7 @@ class TestVerdictsNeedEvidence:
     ["residual", "--residual.order", "0"],
     ["residual", "--residual.fd_h", "-0.001"],
     ["burgers", "--burgers.n_cells", "0,1"],
+    ["residual", "--seed", "-1"],
 ])
 def test_domain_errors_are_config_errors(tmp_path, argv):
     result = run_cli(*argv, "--out", str(tmp_path))
@@ -328,3 +356,37 @@ def test_inadmissible_lambda_fails(tmp_path, argv):
     assert results["ok"] is False
     assert [(v["name"], v["bound"]) for v in results["violations"]] == [("lambda_upper", 0.25)]
     assert "violated:" in result.stdout
+
+
+_COUNT = st.integers(min_value=-2, max_value=6)
+_REAL = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["validate", "subsolution", "energy"]),
+    overrides=st.fixed_dictionaries({}, optional={
+        "grids.n_r": _COUNT,
+        "grids.n_theta": _COUNT,
+        "grids.n_t": _COUNT,
+        "energy.n_times": _COUNT,
+        "seed": st.integers(min_value=-3, max_value=3),
+        "params.lambda": _REAL,
+        "params.epsilon": _REAL,
+    }),
+)
+def test_any_override_ends_in_report_or_config_error(command, overrides):
+    argv = [command, *(f"--{key}={value!r}" for key, value in overrides.items())]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", tmp])
+        if code == 2:
+            assert len(stderr.getvalue().strip().splitlines()) == 1, argv
+            assert not (Path(tmp) / f"{command}.json").exists(), argv
+        else:
+            results = read_strict_report(Path(tmp), command)["results"]
+            assert code == (0 if results["ok"] else 1), argv

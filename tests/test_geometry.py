@@ -34,9 +34,6 @@ class TestGeometryInvariants:
         with pytest.raises(ValueError):
             AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=0.0)
 
-    def test_area(self):
-        assert GEOM.area == pytest.approx(math.pi * 3.0, rel=1e-15)
-
 
 class TestValidateParams:
     def test_lambda_bound_value(self):

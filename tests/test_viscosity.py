@@ -5,8 +5,8 @@ import pytest
 
 from rotsub import viscosity as vc
 from rotsub import weakform as wf
-from rotsub.geometry import AnnulusGeometry, polar_to_cartesian
-from rotsub.subsolution import initial_velocity
+from rotsub.geometry import AnnulusGeometry, cartesian_to_polar, polar_to_cartesian
+from rotsub.subsolution import azimuthal, initial_velocity
 
 GEOM = AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=1.0)
 
@@ -148,46 +148,32 @@ class TestVanishingViscosity:
             vc.vanishing_viscosity_study(GEOM, [1e-4, 1e-3, 1e-2], 1.0)
 
 
+def lift(profile, x):
+    """The plane field a(r) (sin th, -cos th) of a radial speed profile."""
+    r, th = cartesian_to_polar(x)
+    return azimuthal(np.interp(r, profile.grid, profile.values), th)
+
+
 class TestLift:
-    def test_zero_profile_zero_field(self):
-        from rotsub.burgers import RadialProfile
-
-        profile = RadialProfile(grid=np.linspace(1.0, 2.0, 11), values=np.zeros(11), t=0.0)
-        field = vc.AzimuthalField(profile)
-        x = polar_to_cartesian(np.array([1.3, 1.9]), np.array([0.2, 4.0]))
-        assert np.array_equal(field.velocity(x), np.zeros((2, 2)))
-        assert field.pressure(1.7) == 0.0
-
     def test_initial_profile_lifts_to_initial_velocity(self):
         grid = vc.radial_grid(GEOM, 2000)
-        field = vc.AzimuthalField(vc.initial_profile(GEOM, grid))
+        profile = vc.initial_profile(GEOM, grid)
         rng = np.random.default_rng(20)
         r = rng.uniform(1.01, 1.99, 200)
         r = r[np.abs(r - GEOM.r0) > 2e-3]  # stay off the interpolated jump cell
         x = polar_to_cartesian(r, rng.uniform(0, 2 * math.pi, r.size))
-        got = field.velocity(x)
+        got = lift(profile, x)
         want = initial_velocity(x, GEOM)
         assert np.max(np.abs(got - want)) < 1e-5
 
     def test_lifted_field_divergence_free(self):
         problem = vc.ParabolicProblem(geom=GEOM, nu=1e-3, n=400, dt=2e-3)
         record = vc.solve_parabolic(problem, [0.5])
-        field = vc.AzimuthalField(record.snapshots[-1])
         p = wf.ScalarBumpField(
             GEOM, (1.1, 1.9), wf.FourierPoly(((0, 1.0, 0.0), (2, 0.5, 0.4)))
         )
-        res = wf.weak_residual_divergence(lambda x, t: field.velocity(x), p, GEOM)
+        res = wf.weak_residual_divergence(lambda x, t: lift(record.snapshots[-1], x), p, GEOM)
         assert abs(res) < 1e-12
-
-    def test_pressure_accumulates_speed_squared(self):
-        grid = np.linspace(1.0, 2.0, 4001)
-        values = 1.0 / grid**2  # stationary branch magnitude
-        from rotsub.burgers import RadialProfile
-
-        field = vc.AzimuthalField(RadialProfile(grid=grid, values=values, t=0.0))
-        # int_1^r s^-5 ds = (1 - r^-4)/4
-        got = field.pressure(1.8)
-        assert got == pytest.approx((1.0 - 1.8**-4) / 4.0, abs=1e-7)
 
     def test_profile_norm_convention(self):
         # || a ||^2 = 2 pi int a^2 r dr; for a = 1/r^2 this is the initial energy

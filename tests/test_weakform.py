@@ -171,9 +171,14 @@ class TestDivergenceResidual:
         p = wf.ScalarBumpField(
             GEOM, (1.15, 1.85), wf.FourierPoly(((0, 1.0, 0.0), (1, 0.4, 0.0), (3, 0.0, 0.2)))
         )
-        study = wf.divergence_refinement(
-            lambda x, t: ss.vbar(x, t, GEOM, PARAMS), p, GEOM, t=0.4, levels=3, order=2
-        )
+        grids = ((2, 2), (4, 4), (8, 8))
+        residuals = [
+            wf.weak_residual_divergence(
+                lambda x, t: ss.vbar(x, t, GEOM, PARAMS), p, GEOM, t=0.4, cells=cells, order=2
+            )
+            for cells in grids
+        ]
+        study = wf.RefinementStudy(levels=grids, residuals=np.asarray(residuals))
         assert study.converged, (study.residuals, study.orders)
 
 
