@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -289,8 +290,8 @@ def cmd_burgers(config):
         raise ConfigError(f"burgers.t must be positive, got {t_probe}")
     if len(meshes) < 2:
         raise ConfigError("burgers.n_cells needs at least two mesh sizes")
-    if min(meshes) < 1:
-        raise ConfigError(f"burgers.n_cells needs at least one cell per mesh, got {meshes}")
+    if min(meshes) < 2:
+        raise ConfigError(f"burgers.n_cells needs at least two cells per mesh, got {meshes}")
     l1 = []
     linf = []
     in_bounds = True
@@ -501,6 +502,8 @@ def main(argv=None) -> int:
         "provenance": {
             "version": __version__,
             "seed": config["seed"],
+            # the residual numbers depend on it at roundoff level
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "config": config,
             "wall_time_s": time.perf_counter() - started,
         },

@@ -237,10 +237,11 @@ def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float,
                               n: int = 1600, dt: float | None = None) -> ViscositySweep:
     """|| a_nu(., t_probe) - a0 ||_{L^2(r dr)} along a decreasing viscosity list.
 
-    Requires at least three strictly decreasing viscosities and a positive
-    probe time.  The fitted slope is reported as an observation; the
-    substantive check is that the distances decrease strictly, i.e. the
-    viscous profiles converge back to the stationary one.
+    Requires at least three strictly decreasing viscosities, a positive
+    probe time, and a time step that takes at least one step to it.  The
+    fitted slope is reported as an observation; the substantive check is that
+    the distances decrease strictly, i.e. the viscous profiles converge back
+    to the stationary one.
     """
     nu_arr = np.asarray(nu_list, dtype=float)
     if nu_arr.size < 3 or np.any(np.diff(nu_arr) >= 0) or np.any(nu_arr <= 0):
@@ -249,6 +250,8 @@ def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float,
         raise ValueError(f"probe time must be positive, got {t_probe}")
     if dt is None:
         dt = t_probe / 800.0
+    if dt > 0.0 and round(t_probe / dt) < 1:
+        raise ValueError(f"time step {dt} rounds the probe time {t_probe} to no step")
     distances = []
     for nu in nu_arr:
         problem = ParabolicProblem(geom=geom, nu=float(nu), n=n, dt=dt)

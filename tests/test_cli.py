@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,7 @@ class TestValidateCommand:
         report = read_report(tmp_path, "validate")
         assert report["results"]["ok"] is True
         assert report["provenance"]["version"]
+        assert report["provenance"]["blas_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
 
     def test_lambda_violation_exits_one_and_cites_bound(self, tmp_path):
         result = run_cli("validate", "--params.lambda", "0.3", "--out", str(tmp_path))
@@ -235,6 +237,42 @@ def test_import_cli_leaves_package_unloaded(package):
     assert result.stdout.strip() == "[]"
 
 
+def _run_without_blas_threads(argv, **env):
+    """Run ``argv`` with OPENBLAS_NUM_THREADS taken from ``env`` only."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run(argv, capture_output=True, text=True, env={**base, **env})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# numpy's and scipy's OpenBLAS would each start a pool of spinning workers
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_blas_runs_on_one_thread_by_default():
+    code = (
+        "import os, rotsub.cli, numpy as np\n"
+        "from scipy.linalg.lapack import dgttrs\n"
+        "np.dot(np.ones(10**6), np.ones(10**6))\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    assert _run_without_blas_threads([sys.executable, "-c", code]).strip() == "1"
+
+
+def test_caller_blas_threads_kept():
+    code = "import os, rotsub; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_without_blas_threads([sys.executable, "-c", code], OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+
+def test_residual_csv_same_with_blas_threads_unset_or_one(tmp_path):
+    # a threaded dot product splits its sum by thread count
+    tables = []
+    for label, env in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / label
+        argv = [sys.executable, "-m", "rotsub", "residual", "--seed", "0", "--out", str(out)]
+        _run_without_blas_threads(argv, **env)
+        tables.append((out / "residual.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def _fmt(value) -> str:
     """Per-cell CSV formatting of the original row writer (reference)."""
     if isinstance(value, str):
@@ -333,6 +371,8 @@ class TestVerdictsNeedEvidence:
     ["residual", "--residual.order", "0"],
     ["residual", "--residual.fd_h", "-0.001"],
     ["burgers", "--burgers.n_cells", "0,1"],
+    ["burgers", "--burgers.n_cells", "1,2"],
+    ["viscosity", "--viscosity.dt", "2"],
     ["residual", "--seed", "-1"],
 ])
 def test_domain_errors_are_config_errors(tmp_path, argv):
