@@ -16,7 +16,10 @@ advection error splits into four collar integrals
     I4 = int v_tau dtau(w_eps - w)_tau v_tau    ~ eps^1
 
 whose measured decay rates are checked against those exponents (as lower
-bounds; the integrals may decay faster).
+bounds; the integrals may decay faster), together with the cutoff distance
+||w_eps - w||_{L^2}.  Everything is taken at one instant: the fields do not
+depend on time, and a time-dependent amplitude of psi would scale every
+integral and the distance by the same factor, leaving every slope unchanged.
 
 Conventions used throughout: perp-grad(g) = (g_y, -g_x); nu is the inner unit
 normal of the nearest boundary circle, tau = (-nu_y, nu_x); sign = +1 on the
@@ -44,6 +47,11 @@ from .quadrature import panel_rule
 
 TWO_PI = 2.0 * math.pi
 
+# integrals with |I_k| at or below this at all but one eps carry no slope
+ZERO_FLOOR = 1e-14
+# how far a fitted slope may fall below its predicted exponent
+SLOPE_TOLERANCE = 0.15
+
 
 class SmoothstepCutoff:
     """Quintic smoothstep ramp: 0 on [0, 1], 6u^5 - 15u^4 + 10u^3 on [1, 2], 1 after.
@@ -51,9 +59,6 @@ class SmoothstepCutoff:
     Twice continuously differentiable with flat endpoints; value and the first
     two derivatives come in closed form.
     """
-
-    lower = 1.0
-    upper = 2.0
 
     def value(self, s):
         u = np.clip(np.asarray(s, dtype=float) - 1.0, 0.0, 1.0)
@@ -73,89 +78,65 @@ class SmoothstepCutoff:
 
 
 class SineStreamField:
-    """Stream function S(r) * (1 + amp * cos theta) vanishing on both circles.
+    """Stream function S(r) * (1 + cos(theta)/2) vanishing on both circles.
 
-    The radial profile is S = sin(pi u) (1 + boost * sin(pi u)) with
+    The radial profile is S = sin(pi u) (1 + sin(pi u)/4) with
     u = (r - rho)/(R - rho).  The boost term (still vanishing linearly at both
     ends, so |psi| <= C d holds) gives |S'| a strict interior increase away
     from either boundary; with a plain sine the L^2 cutoff error fits
     fractionally below its asymptotic half-order rate on coarse grids.
-    Partial derivatives up to second order are analytic.  Time enters only
-    through an optional amplitude factor (constant one by default), so the
-    linear bound holds with one constant for all times.
+    Partial derivatives up to second order are analytic.  The field does not
+    depend on time.
     """
 
-    def __init__(self, geom: AnnulusGeometry, theta_amp: float = 0.5,
-                 radial_boost: float = 0.25, amplitude: float = 1.0, time_factor=None):
+    def __init__(self, geom: AnnulusGeometry):
         self.geom = geom
-        self.theta_amp = float(theta_amp)
-        self.radial_boost = float(radial_boost)
-        self.amplitude = float(amplitude)
         self._k = math.pi / geom.width
-        self._time_factor = time_factor
 
-    def _m(self, t):
-        if self._time_factor is None:
-            return self.amplitude * np.ones_like(np.asarray(t, dtype=float))
-        return self.amplitude * np.asarray(self._time_factor(t), dtype=float)
-
-    def _angular(self, th):
-        th = np.asarray(th, dtype=float)
-        a = self.theta_amp
-        return 1.0 + a * np.cos(th), -a * np.sin(th), -a * np.cos(th)
-
-    def partials(self, r, th, t=0.0):
-        """(psi, psi_r, psi_th, psi_rr, psi_rth, psi_thth) at (r, theta, t)."""
+    def partials(self, r, th):
+        """(psi, psi_r, psi_th, psi_rr, psi_rth, psi_thth) at (r, theta)."""
         r = np.asarray(r, dtype=float)
+        th = np.asarray(th, dtype=float)
         k = self._k
-        c = self.radial_boost
         u = k * (r - self.geom.rho)
         s_r, c_r = np.sin(u), np.cos(u)
-        S = s_r * (1.0 + c * s_r)
-        S1 = k * c_r * (1.0 + 2.0 * c * s_r)
-        S2 = -(k**2) * s_r + 2.0 * c * k**2 * (c_r**2 - s_r**2)
-        f, f1, f2 = self._angular(th)
-        m = self._m(t)
-        return (S * f * m, S1 * f * m, S * f1 * m, S2 * f * m, S1 * f1 * m, S * f2 * m)
+        S = s_r * (1.0 + 0.25 * s_r)
+        S1 = k * c_r * (1.0 + 0.5 * s_r)
+        S2 = -(k**2) * s_r + 0.5 * k**2 * (c_r**2 - s_r**2)
+        f, f1, f2 = 1.0 + 0.5 * np.cos(th), -0.5 * np.sin(th), -0.5 * np.cos(th)
+        return S * f, S1 * f, S * f1, S2 * f, S1 * f1, S * f2
 
-    def w_polar(self, r, th, t=0.0):
+    def w_polar(self, r, th):
         """Polar components (w_r, w_theta) of perp-grad(psi)."""
-        _, p_r, p_th, _, _, _ = self.partials(r, th, t)
+        _, p_r, p_th, _, _, _ = self.partials(r, th)
         return p_th / np.asarray(r, dtype=float), -p_r
 
-    def w_vector(self, x, t=0.0):
+    def w_vector(self, x):
         x = np.asarray(x, dtype=float)
         r, th = cartesian_to_polar(x)
-        return polar_vector(*self.w_polar(r, th, t), th)
+        return polar_vector(*self.w_polar(r, th), th)
 
 
 class HolderVelocity:
-    """Synthetic collar velocity: v_nu = d^a * g(theta), v_tau bounded.
+    """Synthetic collar velocity: v_nu = d^a (1 + sin(theta)/2), v_tau bounded.
 
     Only the frame components enter the collar integrals.  The normal bound
-    |v_nu| <= C d^a holds with C = sup|g|.
+    |v_nu| <= C d^a holds with C = 3/2.
     """
 
-    def __init__(self, geom: AnnulusGeometry, holder_alpha: float,
-                 normal_amp: float = 0.5, normal_scale: float = 1.0,
-                 tangential_amps=(0.5, -0.3)):
+    def __init__(self, holder_alpha: float):
         if not 0.0 < holder_alpha <= 1.0:
             raise ValueError(f"Holder exponent must lie in (0, 1], got {holder_alpha}")
-        self.geom = geom
         self.holder_alpha = float(holder_alpha)
-        self.normal_amp = float(normal_amp)
-        self.normal_scale = float(normal_scale)
-        self.tangential_amps = tuple(map(float, tangential_amps))
 
     def normal_component(self, d, th):
         d = np.asarray(d, dtype=float)
-        return self.normal_scale * d**self.holder_alpha * (1.0 + self.normal_amp * np.sin(th))
+        return d**self.holder_alpha * (1.0 + 0.5 * np.sin(th))
 
     def tangential_component(self, d, th):
         th = np.asarray(th, dtype=float)
-        a_sin, a_cos = self.tangential_amps
         return np.ones_like(np.asarray(d, dtype=float)) * (
-            1.0 + a_sin * np.sin(th) + a_cos * np.cos(th)
+            1.0 + 0.5 * np.sin(th) - 0.3 * np.cos(th)
         )
 
 
@@ -175,49 +156,36 @@ class CutoffField:
         self.eps = float(eps)
         self.geom = geom
 
-    def _polar_components(self, r, th, sign, d, t):
-        """(W_r, W_theta) of w_eps - w from the product rule."""
-        p, p_r, p_th, _, _, _ = self.psi.partials(r, th, t)
-        s = d / self.eps
-        chi_m1 = self.chi.value(s) - 1.0
-        chi_p = self.chi.deriv(s) / self.eps
-        return chi_m1 * p_th / r, -chi_m1 * p_r - sign * chi_p * p
-
-    def value(self, x, t=0.0):
+    def value(self, x):
         """w_eps as a Cartesian field on the whole annulus."""
-        return self.psi.w_vector(x, t) + self.diff_value(x, t)
+        return self.psi.w_vector(x) + self.diff_value(x)
 
-    def diff_value(self, x, t=0.0):
-        """w_eps - w as a Cartesian field (zero outside the 2*eps collars)."""
+    def diff_value(self, x):
+        """w_eps - w as a Cartesian field (zero outside the 2*eps collars).
+
+        Built from the product rule in polar components, independently of
+        ``frame_tensor``.
+        """
         x = np.asarray(x, dtype=float)
         r, th = cartesian_to_polar(x)
         frame = boundary_distance(x, self.geom)
-        return polar_vector(*self._polar_components(r, th, frame.sign, frame.distance, t), th)
+        p, p_r, p_th, _, _, _ = self.psi.partials(r, th)
+        s = frame.distance / self.eps
+        chi_m1 = self.chi.value(s) - 1.0
+        chi_p = self.chi.deriv(s) / self.eps
+        return polar_vector(chi_m1 * p_th / r, -chi_m1 * p_r - frame.sign * chi_p * p, th)
 
-    def diff_frame(self, d, th, sign, t=0.0):
-        """Frame components (A, B) = ((w_eps - w)_nu, (w_eps - w)_tau).
-
-        A = (chi - 1) w_nu and B = (chi - 1) w_tau - (chi'/eps) psi; these are
-        the scalar fields whose directional derivatives drive the estimates.
-        """
-        r = self._radius(d, sign)
-        diff_r, diff_th = self._polar_components(r, th, sign, np.asarray(d, dtype=float), t)
-        return sign * diff_r, sign * diff_th
-
-    def _radius(self, d, sign):
-        d = np.asarray(d, dtype=float)
-        return np.where(np.asarray(sign) > 0, self.geom.rho + d, self.geom.R - d)
-
-    def frame_tensor(self, d, th, sign, t=0.0):
-        """Exact directional derivatives (T_nn, T_nt, T_tn, T_tt).
+    def frame_tensor(self, d, th, sign):
+        """Exact directional derivatives (T_nn, T_nt, T_tn, T_tt) and the
+        polar components (diff_r, diff_th) of w_eps - w they are built from.
 
         T_ab = ((a . grad)(w_eps - w)) . b for a, b in {nu, tau}; closed forms
         in the stream function's partials.  These are sign-independent in
         polar data because nu = sign e_r and tau = sign e_theta flip together.
         """
         d = np.asarray(d, dtype=float)
-        r = self._radius(d, sign)
-        p, p_r, p_th, p_rr, p_rth, p_thth = self.psi.partials(r, th, t)
+        r = np.where(np.asarray(sign) > 0, self.geom.rho + d, self.geom.R - d)
+        p, p_r, p_th, p_rr, p_rth, p_thth = self.psi.partials(r, th)
         s = d / self.eps
         chi_m1 = self.chi.value(s) - 1.0
         chi_p = self.chi.deriv(s) / self.eps
@@ -236,44 +204,46 @@ class CutoffField:
         t_nt = d_r_diff_th
         t_tn = d_th_diff_r / r - diff_th / r
         t_tt = d_th_diff_th / r + diff_r / r
-        return t_nn, t_nt, t_tn, t_tt
+        return (t_nn, t_nt, t_tn, t_tt), (diff_r, diff_th)
 
 
-def _collar_nodes(geom: AnnulusGeometry, eps: float, sign: float,
-                  order: int = 12, theta_panels: int = 8):
+def _collar_nodes(geom: AnnulusGeometry, eps: float, sign: float):
     """Quadrature on one collar {0 < d < 2 eps}: weights include the Jacobian r.
 
-    The radial panels are graded toward d = 0 (the synthetic velocity has a
-    d^a factor there) and pinned to d = eps where the ramp switches on.
+    Twelve Gauss points per panel.  The radial panels are graded toward d = 0
+    (the synthetic velocity has a d^a factor there) and pinned to d = eps
+    where the ramp switches on; theta has eight equal panels.
     """
     d_edges = eps * np.array([0.0, 1.0 / 16.0, 0.25, 0.5, 1.0, 1.5, 2.0])
-    dn, dw = panel_rule(d_edges, order)
-    th_edges = np.linspace(0.0, TWO_PI, theta_panels + 1)
-    thn, thw = panel_rule(th_edges, order)
+    dn, dw = panel_rule(d_edges, 12)
+    thn, thw = panel_rule(np.linspace(0.0, TWO_PI, 9), 12)
     D, TH = np.meshgrid(dn, thn, indexing="ij")
     r = geom.rho + D if sign > 0 else geom.R - D
     return D, TH, np.outer(dw, thw) * r
 
 
 def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff,
-                     eps: float, geom: AnnulusGeometry, t: float = 0.0):
-    """The four collar integrals and their direct counterpart at one cutoff width.
+                     eps: float, geom: AnnulusGeometry):
+    """The four collar integrals, their direct counterpart and the cutoff
+    distance at one cutoff width, in one pass over each collar.
 
-    Returns ``(I1, I2, I3, I4, direct)``, where ``direct`` is the quadrature of
-    (v . grad(w_eps - w)) . v on the same nodes; the split is consistent when
-    I1 + I2 + I3 + I4 equals it.
+    Returns ``(I1, I2, I3, I4, direct, l2)``, where ``direct`` is the
+    quadrature of (v . grad(w_eps - w)) . v on the same nodes (the split is
+    consistent when I1 + I2 + I3 + I4 equals it) and ``l2`` is
+    ||w_eps - w||_{L^2(Omega)}, which vanishes outside the collars.
     """
     field = CutoffField(psi, chi, eps, geom)
-    i1 = i2 = i3 = i4 = direct = 0.0
+    i1 = i2 = i3 = i4 = direct = l2_sq = 0.0
     for sign in (1.0, -1.0):
         D, TH, W = _collar_nodes(geom, field.eps, sign)
         v_nu = v.normal_component(D, TH)
         v_tau = v.tangential_component(D, TH)
-        t_nn, t_nt, t_tn, t_tt = field.frame_tensor(D, TH, sign, t)
+        (t_nn, t_nt, t_tn, t_tt), (diff_r, diff_th) = field.frame_tensor(D, TH, sign)
         i1 += float(np.sum(W * v_nu * t_nn * v_nu))
         i2 += float(np.sum(W * v_nu * t_nt * v_tau))
         i3 += float(np.sum(W * v_tau * t_tn * v_nu))
         i4 += float(np.sum(W * v_tau * t_tt * v_tau))
+        l2_sq += float(np.sum(W * (diff_r**2 + diff_th**2)))
 
         # direct route: rotate the same tensor into the Cartesian gradient of
         # (w_eps - w) and contract it with the Cartesian velocity.  This checks
@@ -291,19 +261,7 @@ def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCut
         v_cart = sign * (v_nu[..., None] * e_r + v_tau[..., None] * e_th)
         contraction = np.einsum("...i,...ij,...j->...", v_cart, grad, v_cart)
         direct += float(np.sum(W * contraction))
-    return i1, i2, i3, i4, direct
-
-
-def w_eps_l2_distance(psi: SineStreamField, chi: SmoothstepCutoff, eps: float,
-                      geom: AnnulusGeometry, t: float = 0.0) -> float:
-    """|| w_eps - w ||_{L^2(Omega)} (the difference vanishes outside the collars)."""
-    field = CutoffField(psi, chi, eps, geom)
-    l2_sq = 0.0
-    for sign in (1.0, -1.0):
-        D, TH, W = _collar_nodes(geom, field.eps, sign)
-        diff_nu, diff_tau = field.diff_frame(D, TH, sign, t)
-        l2_sq += float(np.sum(W * (diff_nu**2 + diff_tau**2)))
-    return math.sqrt(l2_sq)
+    return i1, i2, i3, i4, direct, math.sqrt(l2_sq)
 
 
 @dataclass(frozen=True)
@@ -314,28 +272,27 @@ class ScalingReport:
     I_values: np.ndarray  # shape (n_eps, 4)
     slopes: tuple  # fitted log-log slopes, None where the integral is identically ~0
     predicted: tuple  # (2a+1, a, a+1, 1)
-    vacuous: tuple  # True where fewer than two |I_k| exceed scaling_study's zero_floor
+    vacuous: tuple  # True where fewer than two |I_k| exceed ZERO_FLOOR
     consistency: np.ndarray  # |sum I_k - direct| per eps
     l2_distances: np.ndarray
     l2_slope: float
 
-    def slopes_meet_bounds(self, tolerance: float = 0.15) -> bool:
+    def slopes_meet_bounds(self) -> bool:
+        """Every non-vacuous slope is at least its exponent minus SLOPE_TOLERANCE."""
         for slope, target, vac in zip(self.slopes, self.predicted, self.vacuous):
-            if vac:
-                continue
-            if slope < target - tolerance:
+            if not vac and slope < target - SLOPE_TOLERANCE:
                 return False
         return True
 
 
 def scaling_study(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff,
-                  eps_grid, geom: AnnulusGeometry, t: float = 0.0,
-                  zero_floor: float = 1e-14) -> ScalingReport:
+                  eps_grid, geom: AnnulusGeometry) -> ScalingReport:
     """Fit the decay rate of each collar integral over a decreasing eps grid.
 
     Needs at least four cutoff widths, strictly decreasing, all small enough
-    for the two collars to stay disjoint.  Integrals below ``zero_floor``
-    everywhere are flagged vacuous (their upper bound holds trivially).
+    for the two collars to stay disjoint.  Integrals at or below
+    ``ZERO_FLOOR`` at all but one width are flagged vacuous (their upper
+    bound holds trivially).
     """
     eps_arr = np.asarray(eps_grid, dtype=float)
     if eps_arr.size < 4 or np.any(np.diff(eps_arr) >= 0) or np.any(eps_arr <= 0):
@@ -344,16 +301,15 @@ def scaling_study(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff
     consistency = np.empty(eps_arr.size)
     l2 = np.empty(eps_arr.size)
     for i, eps in enumerate(eps_arr):
-        *values[i], direct = collar_integrals(v, psi, chi, float(eps), geom, t)
+        *values[i], direct, l2[i] = collar_integrals(v, psi, chi, float(eps), geom)
         consistency[i] = abs(values[i].sum() - direct)
-        l2[i] = w_eps_l2_distance(psi, chi, float(eps), geom, t)
 
     log_eps = np.log(eps_arr)
     slopes = []
     vacuous = []
     for k in range(4):
         magnitudes = np.abs(values[:, k])
-        usable = magnitudes > zero_floor
+        usable = magnitudes > ZERO_FLOOR
         if np.count_nonzero(usable) < 2:
             slopes.append(None)
             vacuous.append(True)

@@ -58,34 +58,31 @@ REQUIRED_KEYS = (
     "params.epsilon",
 )
 
-_INT_KEYS = {
-    "grids.n_r", "grids.n_theta", "grids.n_t", "energy.n_times",
-    "residual.levels", "residual.fd_points", "residual.order",
-    "viscosity.n", "seed",
-}
-_LIST_KEYS = {"burgers.n_cells", "viscosity.nu", "boundary.eps"}
-
-
 class ConfigError(Exception):
     """Malformed configuration: unknown key, bad type, missing required field."""
 
 
+def _number(kind, value):
+    if kind is int:
+        out = int(float(value))
+        if out != float(value):
+            raise ValueError(f"{value} is not an integer")
+        return out
+    return float(value)
+
+
 def _coerce(key: str, value):
+    """Parse a value to the type of its default: int, float, or a list of the
+    type of the default's first entry (a comma-separated string on the command
+    line)."""
+    default = DEFAULT_CONFIG[key]
     try:
-        if key in _LIST_KEYS:
+        if isinstance(default, list):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v]
-            seq = [float(v) for v in value]
-            if key == "burgers.n_cells":
-                return [int(v) for v in seq]
-            return seq
-        if key in _INT_KEYS:
-            out = int(float(value))
-            if out != float(value):
-                raise ValueError(f"{value} is not an integer")
-            return out
-        return float(value)
-    except (TypeError, ValueError) as exc:
+            return [_number(type(default[0]), v) for v in value]
+        return _number(type(default), value)
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
@@ -357,6 +354,8 @@ def cmd_residual(config):
         field_results[name] = {
             "residuals": study.residuals.tolist(),
             "orders": study.orders.tolist(),
+            # False where an order compares residuals at the roundoff floor
+            "measured": study.measured.tolist(),
             "converged": study.converged,
         }
 
@@ -412,7 +411,7 @@ def cmd_boundary(config):
     alpha = config["boundary.holder_alpha"]
     chi = boundary_layer.SmoothstepCutoff()
     psi = boundary_layer.SineStreamField(geom)
-    v = _checked("boundary.holder_alpha", boundary_layer.HolderVelocity, geom, alpha)
+    v = _checked("boundary.holder_alpha", boundary_layer.HolderVelocity, alpha)
     report = _checked(
         "boundary.eps", boundary_layer.scaling_study, v, psi, chi, config["boundary.eps"], geom,
     )
@@ -463,10 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} checks")
         cmd.add_argument("--config", default=None, help="JSON config file with dotted keys")
         cmd.add_argument("--out", default=".", help="output directory for reports and CSV files")
-        cmd.add_argument("--seed", type=int, default=None, help="seed for randomized samples")
         for key in DEFAULT_CONFIG:
-            if key == "seed":
-                continue
             cmd.add_argument(f"--{key}", dest=key, default=None, metavar="VALUE")
     return parser
 
@@ -478,8 +474,6 @@ def main(argv=None) -> int:
         for key, value in vars(args).items()
         if key in DEFAULT_CONFIG and value is not None
     }
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     try:
         config = load_config(args.config, overrides)
         out_dir = Path(args.out)

@@ -21,10 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-INNER = "inner"
-OUTER = "outer"
-
-
 @dataclass(frozen=True)
 class AnnulusGeometry:
     """Planar annulus rho < |x| < R with interface radius r0 and time horizon T."""
@@ -182,13 +178,8 @@ class BoundaryFrame:
 
     distance: np.ndarray
     sign: np.ndarray
-    foot: np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
-
-    @property
-    def component(self):
-        return np.where(np.asarray(self.sign) > 0, INNER, OUTER)
 
 
 def boundary_distance(x, geom: AnnulusGeometry) -> BoundaryFrame:
@@ -205,7 +196,6 @@ def boundary_distance(x, geom: AnnulusGeometry) -> BoundaryFrame:
     sign = np.where(inner, 1.0, -1.0)
     dist = np.where(inner, d_in, d_out)
     e_r = x / r[..., None]
-    foot = np.where(inner[..., None], geom.rho * e_r, geom.R * e_r)
     normal = sign[..., None] * e_r
     tangent = np.stack([-normal[..., 1], normal[..., 0]], axis=-1)
-    return BoundaryFrame(distance=dist, sign=sign, foot=foot, normal=normal, tangent=tangent)
+    return BoundaryFrame(distance=dist, sign=sign, normal=normal, tangent=tangent)

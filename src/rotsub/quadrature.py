@@ -71,7 +71,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self):
         if self.nodes.shape[0] != self.weights.shape[0]:
@@ -110,7 +109,7 @@ def annulus_rule(
     R, TH = np.meshgrid(rn, tn, indexing="ij")
     W = np.outer(rw, tw) * R
     nodes = np.stack([R.ravel(), TH.ravel()], axis=-1)
-    return QuadratureRule(nodes=nodes, weights=W.ravel(), order=order)
+    return QuadratureRule(nodes=nodes, weights=W.ravel())
 
 
 def spacetime_rule(
@@ -150,5 +149,4 @@ def spacetime_rule(
     return QuadratureRule(
         nodes=np.concatenate(blocks_nodes, axis=0),
         weights=np.concatenate(blocks_weights),
-        order=order,
     )

@@ -223,38 +223,6 @@ class TurbulentRegion:
         return (self.lam * t > 0) & (r > left) & (r < right)
 
 
-@dataclass(frozen=True)
-class SubsolutionSample:
-    """All constructed fields at one space-time point."""
-
-    x: np.ndarray
-    t: float
-    f: float
-    vbar: np.ndarray
-    ubar: np.ndarray
-    qbar: float
-    ebar: float
-    egen: float
-    in_band: bool
-
-
-def sample(x, t: float, geom: AnnulusGeometry, params: SubsolutionParams) -> SubsolutionSample:
-    x = np.asarray(x, dtype=float)
-    r, _ = cartesian_to_polar(x)
-    band = TurbulentRegion.of(geom, params)
-    return SubsolutionSample(
-        x=x,
-        t=float(t),
-        f=float(f_profile(r, t, geom, params)),
-        vbar=vbar(x, t, geom, params),
-        ubar=ubar(x, t, geom, params),
-        qbar=float(qbar(r, t, geom, params)),
-        ebar=float(ebar(r, t, geom, params)),
-        egen=float(egen(r, t, geom, params)),
-        in_band=bool(band.contains(r, t)),
-    )
-
-
 def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t):
     """Flattened field table over the tensor grid t x r x theta (t outermost).
 

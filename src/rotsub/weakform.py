@@ -580,8 +580,7 @@ class AttainmentReport:
 
 
 def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
-                            times=None, order: int = 8, r_cells: int = 4,
-                            theta_cells: int = 8) -> AttainmentReport:
+                            times=None, order: int = 8, r_cells: int = 4) -> AttainmentReport:
     """Measure || vbar(., t) - v(., 0) ||_{L^2}^2 and a smooth pairing as t -> 0.
 
     The difference is supported on the band, whose measure is O(t); the

@@ -111,12 +111,14 @@ def test_04_weak_form_residuals(runs):
     started = time.perf_counter()
     code, res, elapsed, _ = runs["residual"]
     # every refinement order whose two residuals sit above the 1e-13 floor
-    orders = [
-        order
+    above_floor = [
+        (order, abs(a) > 1e-13 and abs(b) > 1e-13)
         for field in res["fields"].values()
         for order, a, b in zip(field["orders"], field["residuals"], field["residuals"][1:])
-        if abs(a) > 1e-13 and abs(b) > 1e-13
     ]
+    orders = [order for order, above in above_floor if above]
+    # the report's own marks of those orders, parallel to "orders"
+    marked = [flag for field in res["fields"].values() for flag in field["measured"]]
     converged = sorted(name for name, field in res["fields"].items() if field["converged"])
     scalar_fields = [
         wf.ScalarBumpField(GEOM, (1.2, 1.8), wf.FourierPoly(((0, 1.0, 0.0),))),
@@ -131,6 +133,7 @@ def test_04_weak_form_residuals(runs):
     report(
         4, "weak-form residual refinement and divergence tests",
         code == 0 and len(orders) == res["evidence"] > 0 and min(orders) >= 2.0
+        and marked == [above for _, above in above_floor] and sum(marked) == res["evidence"]
         and len(converged) == 5 and max_div < 1e-10 and elapsed < 30.0,
         f"converged {converged}, orders {[f'{o:.2f}' for o in orders]}, "
         f"max div residual {max_div:.1e}, {elapsed:.1f}s",

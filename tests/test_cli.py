@@ -374,6 +374,10 @@ class TestVerdictsNeedEvidence:
     ["burgers", "--burgers.n_cells", "1,2"],
     ["viscosity", "--viscosity.dt", "2"],
     ["residual", "--seed", "-1"],
+    ["validate", "--seed", "abc"],
+    ["validate", "--seed", "1.5"],
+    ["validate", "--seed", "inf"],
+    ["subsolution", "--grids.n_r", "inf"],
 ])
 def test_domain_errors_are_config_errors(tmp_path, argv):
     result = run_cli(*argv, "--out", str(tmp_path))

@@ -121,15 +121,14 @@ class TestBoundaryDistance:
     def test_near_inner(self):
         frame = boundary_distance(np.array([1.2, 0.0]), GEOM)
         assert frame.distance == pytest.approx(0.2)
-        assert frame.component == "inner"
+        assert frame.sign == 1.0
         assert np.allclose(frame.normal, [1.0, 0.0])
         assert np.allclose(frame.tangent, [0.0, 1.0])
-        assert np.allclose(frame.foot, [1.0, 0.0])
 
     def test_near_outer(self):
         frame = boundary_distance(np.array([0.0, 1.9]), GEOM)
         assert frame.distance == pytest.approx(0.1)
-        assert frame.component == "outer"
+        assert frame.sign == -1.0
         # inner normal of the outer circle points toward the origin
         assert np.allclose(frame.normal, [0.0, -1.0])
         assert np.allclose(frame.tangent, [1.0, 0.0])
@@ -137,7 +136,7 @@ class TestBoundaryDistance:
     def test_medial_tie_goes_inner(self):
         frame = boundary_distance(np.array([1.5, 0.0]), GEOM)
         assert frame.distance == pytest.approx(0.5)
-        assert frame.component == "inner"
+        assert frame.sign == 1.0
 
     def test_frame_orthonormal(self):
         rng = np.random.default_rng(3)
@@ -150,10 +149,3 @@ class TestBoundaryDistance:
         # tangent is the quarter-turn of the normal
         assert np.allclose(frame.tangent[:, 0], -frame.normal[:, 1])
         assert np.allclose(frame.tangent[:, 1], frame.normal[:, 0])
-
-    def test_decomposition_x_equals_foot_plus_d_nu(self):
-        rng = np.random.default_rng(4)
-        x = polar_to_cartesian(rng.uniform(1.01, 1.99, 200), rng.uniform(0, 2 * math.pi, 200))
-        frame = boundary_distance(x, GEOM)
-        rebuilt = frame.foot + frame.distance[:, None] * frame.normal
-        assert np.max(np.abs(rebuilt - x)) < 1e-13

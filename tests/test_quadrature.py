@@ -98,4 +98,4 @@ def test_weights_positive_rejected_if_nonpositive():
     from rotsub.quadrature import QuadratureRule
 
     with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.zeros((2, 2)), weights=np.array([1.0, -1.0]), order=2)
+        QuadratureRule(nodes=np.zeros((2, 2)), weights=np.array([1.0, -1.0]))

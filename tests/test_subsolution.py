@@ -313,13 +313,6 @@ class TestConstraintStructure:
         assert not report.strictness_applicable
         assert report.ok  # equality holds everywhere when epsilon = 1
 
-    def test_sample_container(self):
-        s = ss.sample(np.array([1.45, 0.2]), 0.9, GEOM, PARAMS)
-        assert s.in_band
-        assert s.egen < s.ebar
-        assert s.ubar.shape == (2, 2)
-        assert math.isfinite(s.qbar)
-
     def test_sample_columns_contract(self):
         cols = ss.sample_columns(GEOM, PARAMS, np.array([1.3, 1.5]), np.array([0.0]), np.array([0.0, 0.5]))
         expected = ["r", "theta", "t", "f", "alpha", "beta", "gamma", "qbar",
