@@ -28,11 +28,11 @@ tau = sign * e_theta.  The derivative factors are exact directional
 derivatives of the frame components of w_eps - w (including the terms coming
 from the rotating frame), so the four-term split reproduces the direct
 quadrature of (v . grad(w_eps - w)) . v identically.  That direct quadrature
-rotates the same frame tensor into a Cartesian gradient, so the
-``decomposition_error`` it yields checks the frame bookkeeping (the split and
-the signs of nu and tau), not the tensor itself; the tensor is checked against
-finite differences of ``CutoffField.diff_value`` in the test suite
-(``test_frame_tensor_matches_fd``).
+calls ``geometry.polar_jacobian`` to turn the same frame tensor into a
+Cartesian gradient, so the ``decomposition_error`` it yields checks the frame
+bookkeeping (the split and the signs of nu and tau), not the tensor itself;
+the tensor is checked against finite differences of ``CutoffField.diff_value``
+in the test suite (``test_frame_tensor_matches_fd``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AnnulusGeometry, boundary_distance, cartesian_to_polar, polar_vector
+from .geometry import (
+    AnnulusGeometry,
+    boundary_distance,
+    cartesian_to_polar,
+    polar_jacobian,
+    polar_vector,
+)
 from .quadrature import panel_rule
 
 TWO_PI = 2.0 * math.pi
@@ -245,20 +251,12 @@ def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCut
         i4 += float(np.sum(W * v_tau * t_tt * v_tau))
         l2_sq += float(np.sum(W * (diff_r**2 + diff_th**2)))
 
-        # direct route: rotate the same tensor into the Cartesian gradient of
-        # (w_eps - w) and contract it with the Cartesian velocity.  This checks
-        # the frame bookkeeping of the split; the tensor itself is checked
-        # against finite differences in test_frame_tensor_matches_fd.
-        c, sn = np.cos(TH), np.sin(TH)
-        e_r = np.stack([c, sn], axis=-1)
-        e_th = np.stack([-sn, c], axis=-1)
-        grad = (
-            t_nn[..., None, None] * e_r[..., :, None] * e_r[..., None, :]
-            + t_tn[..., None, None] * e_r[..., :, None] * e_th[..., None, :]
-            + t_nt[..., None, None] * e_th[..., :, None] * e_r[..., None, :]
-            + t_tt[..., None, None] * e_th[..., :, None] * e_th[..., None, :]
-        )
-        v_cart = sign * (v_nu[..., None] * e_r + v_tau[..., None] * e_th)
+        # direct route: contract the Cartesian velocity with the same tensor as a
+        # Cartesian gradient (T_ab differentiates along a, polar_jacobian's t_ab
+        # along b).  This checks the frame bookkeeping of the split; the tensor is
+        # checked against finite differences in test_frame_tensor_matches_fd.
+        grad = polar_jacobian(t_nn, t_tn, t_nt, t_tt, TH)
+        v_cart = sign * polar_vector(v_nu, v_tau, TH)
         contraction = np.einsum("...i,...ij,...j->...", v_cart, grad, v_cart)
         direct += float(np.sum(W * contraction))
     return i1, i2, i3, i4, direct, math.sqrt(l2_sq)

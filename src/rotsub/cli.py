@@ -63,12 +63,17 @@ class ConfigError(Exception):
 
 
 def _number(kind, value):
+    if isinstance(value, bool):  # float(True) is 1.0
+        raise TypeError(f"{value} is a boolean, not a number")
+    number = float(value)
+    if not math.isfinite(number):  # no setting takes nan or inf, and strict JSON has neither
+        raise ValueError(f"{value} is not a finite number")
     if kind is int:
-        out = int(float(value))
-        if out != float(value):
+        out = int(number)
+        if out != number:
             raise ValueError(f"{value} is not an integer")
         return out
-    return float(value)
+    return number
 
 
 def _coerce(key: str, value):
@@ -82,7 +87,7 @@ def _coerce(key: str, value):
                 value = [v for v in value.split(",") if v]
             return [_number(type(default[0]), v) for v in value]
         return _number(type(default), value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
@@ -283,8 +288,8 @@ def cmd_burgers(config):
     params = _params(config)
     t_probe = config["burgers.t"]
     meshes = config["burgers.n_cells"]
-    if not t_probe > 0.0:
-        raise ConfigError(f"burgers.t must be positive, got {t_probe}")
+    if not 0.0 < t_probe < math.inf:
+        raise ConfigError(f"burgers.t must be positive and finite, got {t_probe}")
     if len(meshes) < 2:
         raise ConfigError("burgers.n_cells needs at least two mesh sizes")
     if min(meshes) < 2:
@@ -365,7 +370,8 @@ def cmd_residual(config):
         weakform.FourierPoly(((0, 1.0, 0.0), (1, 0.4, 0.0), (3, 0.0, 0.2))),
     )
     div_residual = weakform.weak_residual_divergence(
-        lambda x, tv: subsolution.vbar(x, tv, geom, params), scalar, geom, t=0.37 * geom.T,
+        lambda r, th, tv: subsolution.azimuthal(subsolution.alpha(r, tv, geom, params), th),
+        scalar, geom, t=0.37 * geom.T,
     )
     div_ok = abs(div_residual) < 1e-10
 

@@ -166,6 +166,30 @@ def polar_vector(v_r, v_th, theta):
     return np.stack([v_r * c - v_th * s, v_r * s + v_th * c], axis=-1)
 
 
+def polar_jacobian(t_rr, t_rth, t_thr, t_thth, theta):
+    """Cartesian Jacobian G[..., i, j] = d w_i / d x_j of a planar field w from
+    its polar-frame derivatives t_ab = e_a . ((e_b . grad) w), a, b in {r, theta}.
+
+    G = sum_ab t_ab e_a (x) e_b.  Of its trace, antisymmetric and symmetric
+    traceless parts only the last turns with the frame (by the angle 2 theta),
+    so G_00 and G_11 carry the same rounded trace part: where t_thth = -t_rr,
+    as for a divergence-free field, G_00 + G_11 is exactly zero.
+    """
+    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    mean = 0.5 * (t_rr + t_thth)
+    spin = 0.5 * (t_rth - t_thr)
+    diag = 0.5 * (t_rr - t_thth)
+    shear = 0.5 * (t_rth + t_thr)
+    a = diag * c2 - shear * s2
+    b = diag * s2 + shear * c2
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0] = mean + a
+    out[..., 0, 1] = b + spin
+    out[..., 1, 0] = b - spin
+    out[..., 1, 1] = mean - a
+    return out
+
+
 @dataclass(frozen=True)
 class BoundaryFrame:
     """Distance to the nearest boundary circle plus the local frame there.

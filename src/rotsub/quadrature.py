@@ -112,24 +112,17 @@ def annulus_rule(
     return QuadratureRule(nodes=nodes, weights=W.ravel())
 
 
-def spacetime_rule(
-    geom: AnnulusGeometry,
-    t_span,
-    r_span=None,
-    cells=(4, 4, 4),
-    order: int = 8,
-    r_breaks_at=None,
-    t_breaks=(),
-) -> QuadratureRule:
-    """Space-time rule with node columns (r, theta, t).
+def spacetime_rule(t_span, r_span, r_breaks_at, cells=(4, 4, 4), order: int = 8,
+                   t_breaks=()) -> QuadratureRule:
+    """Space-time rule over r_span x [0, 2 pi) x t_span with node columns (r, theta, t).
 
-    ``r_breaks_at``, when given, maps a time to break radii (clipped to the
-    radial span); the radial panels are rebuilt around them for every t node,
-    which keeps panels aligned with moving kink curves such as the band edges.
+    ``r_breaks_at`` maps a time to break radii (clipped to the radial span);
+    the radial panels are rebuilt around them for every t node, which keeps
+    panels aligned with moving kink curves such as the band edges.
     ``t_breaks`` forces panel edges at times where those curves cross the
     radial span boundary.
     """
-    ra, rb = r_span if r_span is not None else (geom.rho, geom.R)
+    ra, rb = r_span
     ta, tb = t_span
     r_cells, theta_cells, t_cells = cells
     tn, tw = panel_rule(edges_with_breaks(ta, tb, t_cells, t_breaks), order)
@@ -138,8 +131,7 @@ def spacetime_rule(
     blocks_nodes = []
     blocks_weights = []
     for t_node, t_weight in zip(tn, tw):
-        breaks = () if r_breaks_at is None else r_breaks_at(t_node)
-        rn, rw = panel_rule(edges_with_breaks(ra, rb, r_cells, breaks), order)
+        rn, rw = panel_rule(edges_with_breaks(ra, rb, r_cells, r_breaks_at(t_node)), order)
         R, TH = np.meshgrid(rn, an, indexing="ij")
         W = np.outer(rw, aw) * R * t_weight
         blocks_nodes.append(

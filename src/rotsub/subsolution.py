@@ -35,6 +35,9 @@ from .burgers import fan_interval, rarefaction
 from .geometry import AnnulusGeometry, SubsolutionParams, cartesian_to_polar
 from .quadrature import _leggauss
 
+# roundoff allowance of the equalities the constraint check tests
+EQ_TOL = 1e-13
+
 
 def f_profile(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     return rarefaction(r, t, geom.r0, params.lam)
@@ -74,6 +77,14 @@ def gamma(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     return -0.5 * params.lam * (1.0 - f**2) / r**2
 
 
+def in_band(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
+    """Mask of the expanding open band r0 - lam t < r < r0 + lam t (empty at t = 0)."""
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    left, right = fan_interval(t, geom.r0, params.lam)
+    return (params.lam * t > 0) & (r > left) & (r < right)
+
+
 def _f_partials(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     """Analytic (f_r, f_t) away from the fan edges; zero outside the fan.
 
@@ -82,8 +93,7 @@ def _f_partials(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     width = params.lam * t
-    left, right = fan_interval(t, geom.r0, params.lam)
-    inside = (width > 0) & (r > left) & (r < right)
+    inside = in_band(r, t, geom, params)
     with np.errstate(divide="ignore", invalid="ignore"):
         f_r = np.where(inside, 1.0 / width, 0.0)
         f_t = np.where(inside, -(r - geom.r0) / (params.lam * t**2), 0.0)
@@ -202,27 +212,6 @@ def energy_gap(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     return (1.0 - params.epsilon) * (1.0 - r**2 * params.lam) * (1.0 - f**2) / (2.0 * r**4)
 
 
-@dataclass(frozen=True)
-class TurbulentRegion:
-    """The expanding open band r0 - lam*t < |x| < r0 + lam*t."""
-
-    r0: float
-    lam: float
-
-    @classmethod
-    def of(cls, geom: AnnulusGeometry, params: SubsolutionParams):
-        return cls(r0=geom.r0, lam=params.lam)
-
-    def interval(self, t):
-        return fan_interval(t, self.r0, self.lam)
-
-    def contains(self, r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        left, right = self.interval(t)
-        return (self.lam * t > 0) & (r > left) & (r < right)
-
-
 def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t):
     """Flattened field table over the tensor grid t x r x theta (t outermost).
 
@@ -235,7 +224,6 @@ def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t
     theta = np.asarray(theta, dtype=float)
     t = np.asarray(t, dtype=float)
     T, Rg, TH = np.meshgrid(t, r, theta, indexing="ij")
-    band = TurbulentRegion.of(geom, params)
     a = alpha(Rg, T, geom, params)
     v = azimuthal(a.ravel(), TH.ravel())
     u11, u12 = ubar_entries(Rg, TH, T, geom, params)
@@ -254,7 +242,7 @@ def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t
         "u12": u12.ravel(),
         "egen": egen(Rg, T, geom, params).ravel(),
         "ebar": ebar(Rg, T, geom, params).ravel(),
-        "in_U": band.contains(Rg, T).ravel(),
+        "in_U": in_band(Rg, T, geom, params).ravel(),
     }
 
 
@@ -268,7 +256,6 @@ class ConstraintReport:
     min_gap_in_band: float
     max_gap_formula_dev: float
     max_eq_dev_outside: float
-    eq_tol: float
     first_violation: dict | None
 
     @property
@@ -283,7 +270,6 @@ def check_constraint_structure(
     n_theta: int = 64,
     n_t: int = 10,
     sub_annulus=None,
-    eq_tol: float = 1e-13,
 ) -> ConstraintReport:
     """Verify egen < ebar strictly on band samples and egen = ebar elsewhere.
 
@@ -306,8 +292,7 @@ def check_constraint_structure(
     t = np.linspace(0.0, geom.T, n_t)
 
     T, Rg, _ = np.meshgrid(t, r, theta, indexing="ij")
-    band = TurbulentRegion.of(geom, params)
-    in_band = band.contains(Rg, T)
+    band = in_band(Rg, T, geom, params)
     e_gen = egen(Rg, T, geom, params)
     e_bar = ebar(Rg, T, geom, params)
     gap = e_bar - e_gen
@@ -316,21 +301,21 @@ def check_constraint_structure(
     strict_applicable = params.epsilon < 1.0
     first = None
 
-    if strict_applicable and np.any(in_band):
-        inside_gap = gap[in_band]
+    if strict_applicable and np.any(band):
+        inside_gap = gap[band]
         bad = inside_gap <= 0.0
         if np.any(bad):
             k = int(np.argmax(bad))
-            idx = tuple(a[k] for a in (Rg[in_band], T[in_band]))
+            idx = tuple(a[k] for a in (Rg[band], T[band]))
             first = {
                 "kind": "strictness",
                 "r": float(idx[0]),
                 "t": float(idx[1]),
-                "egen": float(e_gen[in_band][k]),
-                "ebar": float(e_bar[in_band][k]),
+                "egen": float(e_gen[band][k]),
+                "ebar": float(e_bar[band][k]),
             }
     formula_dev = float(np.max(np.abs(gap - formula))) if gap.size else 0.0
-    if first is None and formula_dev > eq_tol:
+    if first is None and formula_dev > EQ_TOL:
         k = int(np.argmax(np.abs(gap - formula)))
         first = {
             "kind": "gap_formula",
@@ -339,9 +324,9 @@ def check_constraint_structure(
             "deviation": formula_dev,
         }
 
-    outside = ~in_band
+    outside = ~band
     eq_dev = float(np.max(np.abs(gap[outside]))) if np.any(outside) else 0.0
-    if first is None and eq_dev > eq_tol:
+    if first is None and eq_dev > EQ_TOL:
         flat_dev = np.abs(np.where(outside, gap, 0.0)).ravel()
         k = int(np.argmax(flat_dev))
         first = {
@@ -351,7 +336,7 @@ def check_constraint_structure(
             "egen": float(e_gen.ravel()[k]),
             "ebar": float(e_bar.ravel()[k]),
         }
-    n_in_band = int(np.count_nonzero(in_band))
+    n_in_band = int(np.count_nonzero(band))
     if first is None and (gap.size == 0 or (strict_applicable and n_in_band == 0)):
         first = {"kind": "no_evidence", "n_samples": int(gap.size), "n_in_band": n_in_band}
 
@@ -359,9 +344,8 @@ def check_constraint_structure(
         n_samples=int(gap.size),
         n_in_band=n_in_band,
         strictness_applicable=strict_applicable,
-        min_gap_in_band=float(gap[in_band].min()) if np.any(in_band) else math.inf,
+        min_gap_in_band=float(gap[band].min()) if np.any(band) else math.inf,
         max_gap_formula_dev=formula_dev,
         max_eq_dev_outside=eq_dev,
-        eq_tol=eq_tol,
         first_violation=first,
     )

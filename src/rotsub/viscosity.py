@@ -238,20 +238,21 @@ def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float,
     """|| a_nu(., t_probe) - a0 ||_{L^2(r dr)} along a decreasing viscosity list.
 
     Requires at least three strictly decreasing viscosities, a positive
-    probe time, and a time step that takes at least one step to it.  The
-    fitted slope is reported as an observation; the substantive check is that
-    the distances decrease strictly, i.e. the viscous profiles converge back
-    to the stationary one.
+    finite probe time, and a time step that takes at least one and finitely
+    many steps to it.  The fitted slope is reported as an observation; the
+    substantive check is that the distances decrease strictly, i.e. the
+    viscous profiles converge back to the stationary one.
     """
     nu_arr = np.asarray(nu_list, dtype=float)
     if nu_arr.size < 3 or np.any(np.diff(nu_arr) >= 0) or np.any(nu_arr <= 0):
         raise ValueError("need >= 3 strictly decreasing positive viscosities")
-    if not t_probe > 0.0:
-        raise ValueError(f"probe time must be positive, got {t_probe}")
+    if not 0.0 < t_probe < math.inf:
+        raise ValueError(f"probe time must be positive and finite, got {t_probe}")
     if dt is None:
         dt = t_probe / 800.0
-    if dt > 0.0 and round(t_probe / dt) < 1:
-        raise ValueError(f"time step {dt} rounds the probe time {t_probe} to no step")
+    # round(t_probe / dt) steps, at least one; ParabolicProblem rejects a dt <= 0
+    if dt > 0.0 and not 0.5 < t_probe / dt < math.inf:
+        raise ValueError(f"time step {dt} takes no step or unboundedly many to the probe time {t_probe}")
     distances = []
     for nu in nu_arr:
         problem = ParabolicProblem(geom=geom, nu=float(nu), n=n, dt=dt)

@@ -7,6 +7,9 @@ supported in the open space-time cylinder,
 
 together with div vbar = 0 at every time.  Both statements are verified here by
 quadrature against an analytic library of compactly supported test fields.
+The nodes are polar, and every test field is evaluated at them as they are:
+its methods take (r, theta, t) and return Cartesian components, turned so by
+``geometry.polar_vector`` and ``geometry.polar_jacobian``.
 Away from the band edges the same content reduces to two radial equations,
 
     d_r beta + (2/r) beta + d_r qbar = 0,
@@ -27,16 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    AnnulusGeometry,
-    SubsolutionParams,
-    cartesian_to_polar,
-    polar_to_cartesian,
-    polar_vector,
-)
+from .burgers import fan_interval
+from .geometry import AnnulusGeometry, SubsolutionParams, polar_jacobian, polar_vector
 from .quadrature import QuadratureRule, annulus_rule, edges_with_breaks, panel_rule, spacetime_rule
 from .subsolution import (
-    TurbulentRegion,
     alpha,
     alpha0,
     alpha_partials,
@@ -50,6 +47,10 @@ from .subsolution import (
 )
 
 TWO_PI = 2.0 * math.pi
+# exponent p of the polynomial bump (1 - u^2)^p; the fields need two derivatives
+BUMP_POWER = 5
+# residuals at or below this are roundoff: an order between them measures nothing
+ROUNDOFF_FLOOR = 1e-13
 
 
 class SupportError(ValueError):
@@ -57,22 +58,19 @@ class SupportError(ValueError):
 
 
 class BumpProfile:
-    """Polynomial bump on (a, b): (1 - u^2)^p with u the affine map to (-1, 1).
+    """Polynomial bump on (a, b): (1 - u^2)^BUMP_POWER with u the affine map to (-1, 1).
 
-    Compactly supported, C^(p-1) across the edges, with closed-form first and
-    second derivatives.  Polynomial profiles keep high-order derivatives tame,
-    so composite Gauss rules converge at their nominal rate from coarse panels
-    on (an essential-singularity bump would not).
+    Compactly supported, C^(BUMP_POWER-1) across the edges, with closed-form
+    first and second derivatives.  Polynomial profiles keep high-order
+    derivatives tame, so composite Gauss rules converge at their nominal rate
+    from coarse panels on (an essential-singularity bump would not).
     """
 
-    def __init__(self, a: float, b: float, power: int = 5):
+    def __init__(self, a: float, b: float):
         if not b > a:
             raise ValueError(f"need a < b, got ({a}, {b})")
-        if power < 3:
-            raise ValueError("bump power must be >= 3 (the fields need two derivatives)")
         self.a = float(a)
         self.b = float(b)
-        self.power = int(power)
 
     def _uw(self, s):
         """The affine coordinate u and the base 1 - u^2 (zero outside (a, b))."""
@@ -80,17 +78,17 @@ class BumpProfile:
         return u, np.where(u**2 < 1.0, 1.0 - u**2, 0.0)
 
     def value(self, s):
-        return self._uw(s)[1] ** self.power
+        return self._uw(s)[1] ** BUMP_POWER
 
     def deriv(self, s):
         u, w = self._uw(s)
-        p = self.power
+        p = BUMP_POWER
         du = 2.0 / (self.b - self.a)
         return -2.0 * p * u * w ** (p - 1) * du
 
     def deriv2(self, s):
         u, w = self._uw(s)
-        p = self.power
+        p = BUMP_POWER
         du = 2.0 / (self.b - self.a)
         return (-2.0 * p * w ** (p - 1) + 4.0 * p * (p - 1) * u**2 * w ** (p - 2)) * du**2
 
@@ -144,7 +142,7 @@ def _check_support(geom: AnnulusGeometry, r_support, t_support):
 
 
 class ScalarBumpField:
-    """Scalar field b_r(r) * F(theta) * b_t(t); all derivatives analytic.
+    """Scalar field b_r(r) * F(theta) * b_t(t) at polar nodes; all derivatives analytic.
 
     Compactly supported in the open annulus; with ``t_support=None`` the time
     factor is identically one (a purely spatial test function).
@@ -158,20 +156,15 @@ class ScalarBumpField:
         self._bt = None if self.t_support is None else BumpProfile(*self.t_support)
         self._fourier = fourier
 
-    def _time_factor(self, t):
+    def time_factor(self, t):
+        """(b_t, d b_t/dt); one and zero without a time bump."""
+        t = np.asarray(t, dtype=float)
         if self._bt is None:
-            return np.ones_like(np.asarray(t, dtype=float)), np.zeros_like(np.asarray(t, dtype=float))
+            return np.ones_like(t), np.zeros_like(t)
         return self._bt.value(t), self._bt.deriv(t)
 
-    def value(self, x, t=0.0):
-        r, th = cartesian_to_polar(x)
-        bt, _ = self._time_factor(np.asarray(t, dtype=float))
-        return self._br.value(r) * self._fourier.value(th) * bt
-
-    def time_deriv(self, x, t=0.0):
-        r, th = cartesian_to_polar(x)
-        _, dbt = self._time_factor(np.asarray(t, dtype=float))
-        return self._br.value(r) * self._fourier.value(th) * dbt
+    def value(self, r, th, t=0.0):
+        return self._br.value(r) * self._fourier.value(th) * self.time_factor(t)[0]
 
     def polar_partials(self, r, th):
         """(p, p_r, p_th, p_rr, p_rth, p_thth) of the spatial factor."""
@@ -183,50 +176,15 @@ class ScalarBumpField:
         f2 = self._fourier.deriv2(th)
         return b * f, b1 * f, b * f1, b2 * f, b1 * f1, b * f2
 
-    def _gradient(self, x, time_factor):
-        """Spatial gradient times ``time_factor`` (b_t or its derivative)."""
-        r, th = cartesian_to_polar(x)
-        p_r = self._br.deriv(r) * self._fourier.value(th)
-        p_th = self._br.value(r) * self._fourier.deriv(th)
-        return polar_vector(p_r * time_factor, p_th / r * time_factor, th)
-
-    def gradient(self, x, t=0.0):
-        bt, _ = self._time_factor(np.asarray(t, dtype=float))
-        return self._gradient(x, bt)
-
-    def hessian(self, x, t=0.0):
-        """Cartesian second derivatives (p_xx, p_xy, p_yy)."""
-        r, th = cartesian_to_polar(x)
-        bt, _ = self._time_factor(np.asarray(t, dtype=float))
-        _, p_r, p_th, p_rr, p_rth, p_thth = self.polar_partials(r, th)
-        c, s = np.cos(th), np.sin(th)
-        cs = c * s
-        p_xx = (
-            c**2 * p_rr
-            - 2.0 * cs / r * p_rth
-            + s**2 / r**2 * p_thth
-            + s**2 / r * p_r
-            + 2.0 * cs / r**2 * p_th
-        )
-        p_yy = (
-            s**2 * p_rr
-            + 2.0 * cs / r * p_rth
-            + c**2 / r**2 * p_thth
-            + c**2 / r * p_r
-            - 2.0 * cs / r**2 * p_th
-        )
-        p_xy = (
-            cs * p_rr
-            + (c**2 - s**2) / r * p_rth
-            - cs / r**2 * p_thth
-            - cs / r * p_r
-            - (c**2 - s**2) / r**2 * p_th
-        )
-        return p_xx * bt, p_xy * bt, p_yy * bt
+    def gradient(self, r, th, t=0.0):
+        _, p_r, p_th, _, _, _ = self.polar_partials(r, th)
+        bt = self.time_factor(t)[0]
+        return polar_vector(p_r * bt, p_th / r * bt, th)
 
 
 class VectorBumpField:
-    """Vector test field with components b_r(r) * F_i(theta) * b_t(t)."""
+    """Vector test field with Cartesian components b_r(r) * F_i(theta) * b_t(t)
+    at polar nodes."""
 
     def __init__(self, geom: AnnulusGeometry, r_support, fourier_x: FourierPoly,
                  fourier_y: FourierPoly, t_support):
@@ -238,19 +196,16 @@ class VectorBumpField:
         self._fx = fourier_x
         self._fy = fourier_y
 
-    def value(self, x, t):
-        r, th = cartesian_to_polar(x)
+    def value(self, r, th, t):
         amp = self._br.value(r) * self._bt.value(t)
         return np.stack([amp * self._fx.value(th), amp * self._fy.value(th)], axis=-1)
 
-    def time_deriv(self, x, t):
-        r, th = cartesian_to_polar(x)
+    def time_deriv(self, r, th, t):
         amp = self._br.value(r) * self._bt.deriv(t)
         return np.stack([amp * self._fx.value(th), amp * self._fy.value(th)], axis=-1)
 
-    def gradient(self, x, t):
+    def gradient(self, r, th, t):
         """(..., 2, 2) array G with G[i, j] = d phi_i / d x_j."""
-        r, th = cartesian_to_polar(x)
         bt = self._bt.value(t)
         b = self._br.value(r)
         b1 = self._br.deriv(r)
@@ -262,7 +217,8 @@ class VectorBumpField:
 
 
 class PerpGradientField:
-    """Divergence-free vector field (psi_y, -psi_x) from a scalar bump psi."""
+    """Divergence-free vector field (psi_y, -psi_x) from a scalar bump psi, at
+    polar nodes: w = (psi_th / r) e_r - psi_r e_theta."""
 
     def __init__(self, psi: ScalarBumpField):
         if psi.t_support is None:
@@ -271,23 +227,27 @@ class PerpGradientField:
         self.r_support = psi.r_support
         self.t_support = psi.t_support
 
-    def value(self, x, t):
-        g = self.psi.gradient(x, t)
-        return np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    def _field(self, r, th, time_factor):
+        _, p_r, p_th, _, _, _ = self.psi.polar_partials(r, th)
+        return polar_vector(p_th / r * time_factor, -p_r * time_factor, th)
 
-    def time_deriv(self, x, t):
-        # psi = S(x) b_t(t): swap the time factor for its derivative
-        g = self.psi._gradient(x, self.psi._bt.deriv(np.asarray(t, dtype=float)))
-        return np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    def value(self, r, th, t):
+        return self._field(r, th, self.psi.time_factor(t)[0])
 
-    def gradient(self, x, t):
-        p_xx, p_xy, p_yy = self.psi.hessian(x, t)
-        out = np.empty(np.shape(p_xx) + (2, 2))
-        out[..., 0, 0] = p_xy
-        out[..., 0, 1] = p_yy
-        out[..., 1, 0] = -p_xx
-        out[..., 1, 1] = -p_xy
-        return out
+    def time_deriv(self, r, th, t):
+        # psi = S(r, theta) b_t(t): swap the time factor for its derivative
+        return self._field(r, th, self.psi.time_factor(t)[1])
+
+    def gradient(self, r, th, t):
+        """(..., 2, 2) array G with G[i, j] = d w_i / d x_j."""
+        return polar_jacobian(*self._frame_derivatives(r, th, self.psi.time_factor(t)[0]), th)
+
+    def _frame_derivatives(self, r, th, time_factor):
+        """t_ab = e_a . ((e_b . grad) w): d_r w_r, (d_th w_r - w_th) / r, d_r w_th and
+        (d_th w_th + w_r) / r, with psi's partials freed before the Jacobian is built."""
+        _, p_r, p_th, p_rr, p_rth, p_thth = self.psi.polar_partials(r, th)
+        return ((p_rth - p_th / r) / r * time_factor, (p_thth / r + p_r) / r * time_factor,
+                -p_rr * time_factor, (p_th / r - p_rth) / r * time_factor)
 
 
 def default_test_fields(geom: AnnulusGeometry, params: SubsolutionParams):
@@ -297,8 +257,7 @@ def default_test_fields(geom: AnnulusGeometry, params: SubsolutionParams):
     two cross it (one generic, one divergence-free), and one has no angular
     dependence at all.
     """
-    band = TurbulentRegion.of(geom, params)
-    left_end, right_end = band.interval(geom.T)
+    left_end, right_end = fan_interval(geom.T, geom.r0, params.lam)
     pad_in = 0.25 * (left_end - geom.rho)
     pad_out = 0.25 * (geom.R - right_end)
     t_mid = (0.1 * geom.T, 0.9 * geom.T)
@@ -348,47 +307,31 @@ def default_test_fields(geom: AnnulusGeometry, params: SubsolutionParams):
     }
 
 
-def fan_spacetime_rule(geom: AnnulusGeometry, params: SubsolutionParams, r_span, t_span,
-                       cells=(4, 4, 4), order: int = 8) -> QuadratureRule:
-    """Space-time rule over the box with radial panels pinned to the band edges."""
-    band = TurbulentRegion.of(geom, params)
-    ra, rb = r_span
-    ta, tb = t_span
+def weak_residual_linear_system(geom: AnnulusGeometry, params: SubsolutionParams, phi,
+                                cells=(4, 4, 4), order: int = 8) -> float:
+    """Quadrature of vbar . d_t phi + ubar : grad phi + qbar div phi over phi's support.
+
+    Vanishes (to quadrature accuracy) for the constructed fields, since all
+    derivatives have been moved onto the compactly supported test field.  The
+    radial panels are pinned to the band edges at every time node, and the
+    time panels to the times at which those edges cross the support.
+    """
+    (ra, rb), (ta, tb) = phi.r_support, phi.t_support
     crossings = []
     if params.lam > 0:
         for radius in (ra, rb):
             for t_cross in ((geom.r0 - radius) / params.lam, (radius - geom.r0) / params.lam):
                 if ta < t_cross < tb:
                     crossings.append(t_cross)
-    return spacetime_rule(
-        geom,
-        (ta, tb),
-        r_span=(ra, rb),
-        cells=cells,
-        order=order,
-        r_breaks_at=lambda tv: band.interval(tv),
-        t_breaks=tuple(crossings),
-    )
-
-
-def weak_residual_linear_system(geom: AnnulusGeometry, params: SubsolutionParams, phi,
-                                quad: QuadratureRule | None = None,
-                                cells=(4, 4, 4), order: int = 8) -> float:
-    """Quadrature of vbar . d_t phi + ubar : grad phi + qbar div phi over phi's support.
-
-    Vanishes (to quadrature accuracy) for the constructed fields, since all
-    derivatives have been moved onto the compactly supported test field.
-    """
-    _check_support(geom, phi.r_support, phi.t_support)
-    if quad is None:
-        quad = fan_spacetime_rule(geom, params, phi.r_support, phi.t_support, cells, order)
+    quad = spacetime_rule((ta, tb), (ra, rb), lambda tv: fan_interval(tv, geom.r0, params.lam),
+                          cells=cells, order=order, t_breaks=tuple(crossings))
     r, th, t = quad.r, quad.theta, quad.t
-    x = polar_to_cartesian(r, th)
+    # this order of evaluation holds the fewest node arrays at once
+    q = qbar(r, t, geom, params)
+    phi_t = phi.time_deriv(r, th, t)
+    grad = phi.gradient(r, th, t)
     v = azimuthal(alpha(r, t, geom, params), th)
     u11, u12 = ubar_entries(r, th, t, geom, params)
-    q = qbar(r, t, geom, params)
-    phi_t = phi.time_deriv(x, t)
-    grad = phi.gradient(x, t)
     contraction = u11 * (grad[..., 0, 0] - grad[..., 1, 1]) + u12 * (
         grad[..., 0, 1] + grad[..., 1, 0]
     )
@@ -402,16 +345,15 @@ def weak_residual_divergence(velocity, p, geom: AnnulusGeometry, t: float = 0.0,
                              cells=(8, 8), order: int = 8) -> float:
     """Quadrature of velocity . grad p over p's support at a fixed time.
 
-    Zero (to quadrature accuracy) for any divergence-free velocity tangent to
-    the boundary -- in particular for every azimuthal field.
+    ``velocity(r, theta, t)`` returns Cartesian (..., 2) vectors at polar
+    nodes.  Zero (to quadrature accuracy) for any divergence-free velocity
+    tangent to the boundary -- in particular for every azimuthal field.
     """
-    _check_support(geom, p.r_support, None)
     if quad is None:
         quad = annulus_rule(geom, r_cells=cells[0], theta_cells=cells[1], order=order,
                             r_span=p.r_support)
-    x = polar_to_cartesian(quad.r, quad.theta)
-    v = velocity(x, t)
-    g = p.gradient(x, t)
+    v = velocity(quad.r, quad.theta, t)
+    g = p.gradient(quad.r, quad.theta, t)
     return quad.integrate(v[..., 0] * g[..., 0] + v[..., 1] * g[..., 1])
 
 
@@ -421,7 +363,6 @@ class RefinementStudy:
 
     levels: tuple
     residuals: np.ndarray
-    floor: float = 1e-13
 
     @property
     def orders(self):
@@ -432,26 +373,24 @@ class RefinementStudy:
     def measured(self):
         """Mask of the orders whose two residuals both sit above the roundoff floor."""
         res = np.abs(self.residuals)
-        return (res[:-1] > self.floor) & (res[1:] > self.floor)
+        return (res[:-1] > ROUNDOFF_FLOOR) & (res[1:] > ROUNDOFF_FLOOR)
 
     @property
     def converged(self) -> bool:
         """Orders >= 2 wherever the residual is meaningfully above roundoff."""
         res = np.abs(self.residuals)
-        return bool(np.all(self.orders[self.measured] >= 2.0) and res[-1] <= max(self.floor, res[0]))
+        return bool(np.all(self.orders[self.measured] >= 2.0) and res[-1] <= max(ROUNDOFF_FLOOR, res[0]))
 
 
-def linear_system_refinement(geom, params, phi, levels: int = 3,
-                             base_cells=(2, 2, 2), order: int = 3) -> RefinementStudy:
-    """The linear-system residual on ``levels`` grids, doubling every cell count per level."""
-    grids = tuple(tuple(c * 2**k for c in base_cells) for k in range(levels))
+def linear_system_refinement(geom, params, phi, levels: int = 3, order: int = 3) -> RefinementStudy:
+    """The linear-system residual on ``levels`` grids of 2, 4, 8, ... cells per axis."""
+    grids = tuple((2 * 2**k,) * 3 for k in range(levels))
     residuals = [weak_residual_linear_system(geom, params, phi, cells=cells, order=order) for cells in grids]
     return RefinementStudy(levels=grids, residuals=np.asarray(residuals))
 
 
 def _require_away_from_band(geom, params, r, t, h):
-    band = TurbulentRegion.of(geom, params)
-    left, right = band.interval(t)
+    left, right = fan_interval(t, geom.r0, params.lam)
     near = (np.abs(r - left) < 2.0 * h) | (np.abs(r - right) < 2.0 * h)
     if np.any(near):
         raise ValueError("finite differences need all points at distance >= 2h from the band edges")
@@ -535,18 +474,15 @@ def initial_energy(geom: AnnulusGeometry) -> float:
     return math.pi * (geom.rho**-2 - geom.R**-2)
 
 
-def energy_total(geom: AnnulusGeometry, params: SubsolutionParams, t: float,
-                 r_cells: int = 8, order: int = 8) -> float:
-    """int_Omega 2 ebar(., t) dx with radial panels pinned to the band edges."""
-    band = TurbulentRegion.of(geom, params)
-    edges = edges_with_breaks(geom.rho, geom.R, r_cells, band.interval(t))
-    nodes, weights = panel_rule(edges, order)
+def energy_total(geom: AnnulusGeometry, params: SubsolutionParams, t: float) -> float:
+    """int_Omega 2 ebar(., t) dx by eight 8-point radial panels pinned to the band edges."""
+    edges = edges_with_breaks(geom.rho, geom.R, 8, fan_interval(t, geom.r0, params.lam))
+    nodes, weights = panel_rule(edges, 8)
     return TWO_PI * float(np.dot(weights, 2.0 * ebar(nodes, t, geom, params) * nodes))
 
 
-def energy_series(geom: AnnulusGeometry, params: SubsolutionParams, times,
-                  r_cells: int = 8, order: int = 8):
-    return np.asarray([energy_total(geom, params, tv, r_cells, order) for tv in np.asarray(times)])
+def energy_series(geom: AnnulusGeometry, params: SubsolutionParams, times):
+    return np.asarray([energy_total(geom, params, tv) for tv in np.asarray(times)])
 
 
 def energy_deficit(geom: AnnulusGeometry, params: SubsolutionParams, times):
@@ -580,31 +516,30 @@ class AttainmentReport:
 
 
 def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
-                            times=None, order: int = 8, r_cells: int = 4) -> AttainmentReport:
+                            times=None) -> AttainmentReport:
     """Measure || vbar(., t) - v(., 0) ||_{L^2}^2 and a smooth pairing as t -> 0.
 
     The difference is supported on the band, whose measure is O(t); the
     squared norm therefore decays at first order, and pairings with smooth
     azimuthal fields decay at least that fast.  Log-log slopes over ``times``
-    quantify both.
+    quantify both.  The band takes four 8-point panels pinned to r0.
     """
     if times is None:
         times = geom.T * 0.5 ** np.arange(1, 6)
     times = np.asarray(times, dtype=float)
-    band = TurbulentRegion.of(geom, params)
     pad = 0.15 * geom.width
     pairing_bump = BumpProfile(geom.rho + 0.2 * pad, geom.R - 0.2 * pad)
 
     l2_sq = np.empty_like(times)
     pairing = np.empty_like(times)
     for i, tv in enumerate(times):
-        left, right = band.interval(tv)
+        left, right = fan_interval(tv, geom.r0, params.lam)
         if not right > left:
             l2_sq[i] = 0.0
             pairing[i] = 0.0
             continue
-        edges = edges_with_breaks(left, right, r_cells, (geom.r0,))
-        nodes, weights = panel_rule(edges, order)
+        edges = edges_with_breaks(left, right, 4, (geom.r0,))
+        nodes, weights = panel_rule(edges, 8)
         diff = alpha(nodes, tv, geom, params) - alpha0(nodes, geom)
         l2_sq[i] = TWO_PI * float(np.dot(weights, diff**2 * nodes))
         # azimuthal pairing field b(r) (sin th, -cos th): the theta integral is 2 pi

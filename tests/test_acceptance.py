@@ -126,7 +126,9 @@ def test_04_weak_form_residuals(runs):
         wf.ScalarBumpField(GEOM, (1.3, 1.7), wf.FourierPoly(((0, 0.6, 0.0), (3, 0.0, 0.4)))),
     ]
     max_div = max(abs(res["divergence_residual"]), *(
-        abs(wf.weak_residual_divergence(lambda x, t: ss.vbar(x, t, GEOM, PARAMS), p, GEOM, t=tv))
+        abs(wf.weak_residual_divergence(
+            lambda r, th, t: ss.azimuthal(ss.alpha(r, t, GEOM, PARAMS), th), p, GEOM, t=tv
+        ))
         for p, tv in zip(scalar_fields, (0.0, 0.4, 0.9))
     ))
     elapsed += time.perf_counter() - started

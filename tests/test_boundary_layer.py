@@ -153,7 +153,9 @@ class TestCutoffField:
             GEOM, r_cells=8, theta_cells=8, order=10,
             r_breaks=(1.05, 1.10, 1.90, 1.95), r_span=p.r_support,
         )
-        res = wf.weak_residual_divergence(lambda x, t: field.value(x), p, GEOM, quad=quad)
+        res = wf.weak_residual_divergence(
+            lambda r, th, t: field.value(polar_to_cartesian(r, th)), p, GEOM, quad=quad
+        )
         assert abs(res) < 1e-10
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotsub import burgers, cli
@@ -83,6 +83,19 @@ class TestValidateCommand:
         config.write_text("{not json")
         result = run_cli("validate", "--config", str(config), "--out", str(tmp_path))
         assert result.returncode == 2
+
+    def test_boolean_for_number_exits_two(self, tmp_path):
+        # float(True) is 1.0: a boolean must not pass for a count or a rate
+        config = tmp_path / "bools.json"
+        config.write_text(json.dumps({
+            "geometry.rho": 1.0, "geometry.R": 2.0, "geometry.r0": 1.5, "geometry.T": 1.0,
+            "params.lambda": 0.1, "params.epsilon": False, "grids.n_t": True,
+        }))
+        result = run_cli("subsolution", "--config", str(config), "--out", str(tmp_path))
+        assert result.returncode == 2
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "boolean" in result.stderr
+        assert not (tmp_path / "subsolution.json").exists()
 
     def test_unknown_flag_exits_two(self, tmp_path):
         result = run_cli("validate", "--no-such-flag", "1")
@@ -373,6 +386,9 @@ class TestVerdictsNeedEvidence:
     ["burgers", "--burgers.n_cells", "0,1"],
     ["burgers", "--burgers.n_cells", "1,2"],
     ["viscosity", "--viscosity.dt", "2"],
+    ["burgers", "--burgers.t", "inf"],
+    ["viscosity", "--viscosity.t_probe", "inf"],
+    ["viscosity", "--viscosity.dt", "1e-320"],
     ["residual", "--seed", "-1"],
     ["validate", "--seed", "abc"],
     ["validate", "--seed", "1.5"],
@@ -409,9 +425,17 @@ _REAL = st.one_of(
 )
 
 
+# small meshes keep the solvers quick; viscosity.dt is never drawn, since a
+# tiny step means an unbounded number of steps
+_SMALL = {"burgers": ["--burgers.n_cells=2,4"], "viscosity": ["--viscosity.n=8"]}
+
+
 @settings(max_examples=60, deadline=None)
+@example(command="burgers", overrides={"burgers.t": math.inf})
+@example(command="viscosity", overrides={"viscosity.t_probe": math.inf})
+@example(command="viscosity", overrides={"params.lambda": math.nan})
 @given(
-    command=st.sampled_from(["validate", "subsolution", "energy"]),
+    command=st.sampled_from(["validate", "subsolution", "energy", "burgers", "viscosity"]),
     overrides=st.fixed_dictionaries({}, optional={
         "grids.n_r": _COUNT,
         "grids.n_theta": _COUNT,
@@ -420,10 +444,13 @@ _REAL = st.one_of(
         "seed": st.integers(min_value=-3, max_value=3),
         "params.lambda": _REAL,
         "params.epsilon": _REAL,
+        "burgers.t": _REAL,
+        "viscosity.t_probe": _REAL,
     }),
 )
 def test_any_override_ends_in_report_or_config_error(command, overrides):
-    argv = [command, *(f"--{key}={value!r}" for key, value in overrides.items())]
+    flags = [f"--{key}={value!r}" for key, value in overrides.items()]
+    argv = [command, *_SMALL.get(command, ()), *flags]
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -12,7 +12,9 @@ from rotsub.geometry import (
     cartesian_to_polar,
     epsilon_upper_bound,
     lambda_upper_bound,
+    polar_jacobian,
     polar_to_cartesian,
+    polar_vector,
     validate_params,
 )
 
@@ -115,6 +117,36 @@ class TestPolar:
         r2, theta2 = cartesian_to_polar(x)
         x2 = polar_to_cartesian(r2, theta2)
         assert np.max(np.abs(x2 - x)) < 1e-14 * 2.0
+
+    def test_polar_jacobian_vs_fd(self):
+        # w = A e_r + B e_theta with known polar components
+        def components(r, th):
+            a = r**2 * np.sin(th) + np.cos(2 * th) / r
+            b = np.exp(-r) * np.cos(3 * th) + r
+            return a, b
+
+        def field(x):
+            r, th = cartesian_to_polar(x)
+            return polar_vector(*components(r, th), th)
+
+        rng = np.random.default_rng(8)
+        r = rng.uniform(1.1, 1.9, 200)
+        th = rng.uniform(0.0, 2.0 * math.pi, 200)
+        a, b = components(r, th)
+        a_r = 2 * r * np.sin(th) - np.cos(2 * th) / r**2
+        a_th = r**2 * np.cos(th) - 2 * np.sin(2 * th) / r
+        b_r = 1.0 - np.exp(-r) * np.cos(3 * th)
+        b_th = -3 * np.exp(-r) * np.sin(3 * th)
+        # t_ab = e_a . ((e_b . grad) w); along e_theta the frame turns:
+        # (e_theta . grad) e_r = e_theta / r and (e_theta . grad) e_theta = -e_r / r
+        jac = polar_jacobian(a_r, (a_th - b) / r, b_r, (b_th + a) / r, th)
+        x = polar_to_cartesian(r, th)
+        h = 1e-6
+        for axis in range(2):
+            e = np.zeros(2)
+            e[axis] = h
+            fd = (field(x + e) - field(x - e)) / (2 * h)
+            assert np.max(np.abs(jac[..., axis] - fd)) < 1e-8
 
 
 class TestBoundaryDistance:

@@ -51,12 +51,11 @@ def test_annulus_rule_integrates_radial_power():
 
 def test_spacetime_rule_volume_and_breaks():
     rule = spacetime_rule(
-        GEOM,
         (0.2, 0.8),
-        r_span=(1.2, 1.8),
+        (1.2, 1.8),
+        lambda t: (1.5 - 0.1 * t, 1.5 + 0.1 * t),
         cells=(3, 3, 3),
         order=6,
-        r_breaks_at=lambda t: (1.5 - 0.1 * t, 1.5 + 0.1 * t),
     )
     volume = 0.5 * (1.8**2 - 1.2**2) * 2.0 * math.pi * 0.6
     assert rule.integrate(np.ones_like(rule.r)) == pytest.approx(volume, rel=1e-12)
@@ -84,12 +83,11 @@ def test_spacetime_rule_integrates_kinked_function():
         return 2.0 * math.pi * val
 
     rule = spacetime_rule(
-        GEOM,
         (0.0, 1.0),
-        r_span=(1.4, 1.6),
+        (1.4, 1.6),
+        lambda t: (1.5 + 0.1 * t,),
         cells=(2, 2, 2),
         order=8,
-        r_breaks_at=lambda t: (1.5 + 0.1 * t,),
     )
     assert rule.integrate(integrand(rule.r, rule.t)) == pytest.approx(exact(), rel=1e-10)
 

@@ -259,22 +259,21 @@ class TestEnergyDensities:
 
 
 class TestTurbulentRegion:
+    """The open band U = {r0 - lam t < r < r0 + lam t} through ``in_band``."""
+
     def test_empty_at_t0(self):
-        band = ss.TurbulentRegion.of(GEOM, PARAMS)
         r = np.linspace(1.0, 2.0, 100)
-        assert not np.any(band.contains(r, 0.0))
+        assert not np.any(ss.in_band(r, 0.0, GEOM, PARAMS))
 
     def test_inside_domain_for_valid_params(self):
-        band = ss.TurbulentRegion.of(GEOM, PARAMS)
-        left, right = band.interval(GEOM.T)
+        left, right = fan_interval(GEOM.T, GEOM.r0, PARAMS.lam)
         assert GEOM.rho < left < right < GEOM.R
 
     def test_membership(self):
-        band = ss.TurbulentRegion.of(GEOM, PARAMS)
-        assert band.contains(1.5, 0.1)
-        assert not band.contains(1.45, 0.5)  # edge point: open band
-        assert band.contains(1.46, 0.5)
-        assert not band.contains(1.4, 0.5)
+        assert ss.in_band(1.5, 0.1, GEOM, PARAMS)
+        assert not ss.in_band(1.45, 0.5, GEOM, PARAMS)  # edge point: open band
+        assert ss.in_band(1.46, 0.5, GEOM, PARAMS)
+        assert not ss.in_band(1.4, 0.5, GEOM, PARAMS)
 
 
 class TestConstraintStructure:

@@ -5,7 +5,7 @@ import pytest
 
 from rotsub import viscosity as vc
 from rotsub import weakform as wf
-from rotsub.geometry import AnnulusGeometry, cartesian_to_polar, polar_to_cartesian
+from rotsub.geometry import AnnulusGeometry, polar_to_cartesian
 from rotsub.subsolution import azimuthal, initial_velocity
 
 GEOM = AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=1.0)
@@ -147,10 +147,14 @@ class TestVanishingViscosity:
         with pytest.raises(ValueError):
             vc.vanishing_viscosity_study(GEOM, [1e-4, 1e-3, 1e-2], 1.0)
 
+    @pytest.mark.parametrize("t_probe, dt", [(math.inf, None), (math.inf, 1e-3), (1.0, 1e-320)])
+    def test_unbounded_step_count_rejected(self, t_probe, dt):
+        with pytest.raises(ValueError, match="finite|unboundedly"):
+            vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], t_probe, n=8, dt=dt)
 
-def lift(profile, x):
+
+def lift(profile, r, th):
     """The plane field a(r) (sin th, -cos th) of a radial speed profile."""
-    r, th = cartesian_to_polar(x)
     return azimuthal(np.interp(r, profile.grid, profile.values), th)
 
 
@@ -161,8 +165,9 @@ class TestLift:
         rng = np.random.default_rng(20)
         r = rng.uniform(1.01, 1.99, 200)
         r = r[np.abs(r - GEOM.r0) > 2e-3]  # stay off the interpolated jump cell
-        x = polar_to_cartesian(r, rng.uniform(0, 2 * math.pi, r.size))
-        got = lift(profile, x)
+        th = rng.uniform(0, 2 * math.pi, r.size)
+        got = lift(profile, r, th)
+        x = polar_to_cartesian(r, th)
         want = initial_velocity(x, GEOM)
         assert np.max(np.abs(got - want)) < 1e-5
 
@@ -172,7 +177,7 @@ class TestLift:
         p = wf.ScalarBumpField(
             GEOM, (1.1, 1.9), wf.FourierPoly(((0, 1.0, 0.0), (2, 0.5, 0.4)))
         )
-        res = wf.weak_residual_divergence(lambda x, t: lift(record.snapshots[-1], x), p, GEOM)
+        res = wf.weak_residual_divergence(lambda r, th, t: lift(record.snapshots[-1], r, th), p, GEOM)
         assert abs(res) < 1e-12
 
     def test_profile_norm_convention(self):

@@ -5,15 +5,30 @@ import pytest
 
 from rotsub import subsolution as ss
 from rotsub import weakform as wf
-from rotsub.geometry import AnnulusGeometry, SubsolutionParams, polar_to_cartesian
+from rotsub.geometry import (
+    AnnulusGeometry,
+    SubsolutionParams,
+    cartesian_to_polar,
+    polar_to_cartesian,
+)
 
 GEOM = AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=1.0)
 PARAMS = SubsolutionParams(lam=0.1, epsilon=0.5)
 PARAMS0 = SubsolutionParams(lam=0.1, epsilon=0.0)
 
 
+def vbar_polar(r, th, t):
+    """The constructed velocity as a polar callable."""
+    return ss.azimuthal(ss.alpha(r, t, GEOM, PARAMS), th)
+
+
 def central_diff(func, x, h):
     return (func(x + h) - func(x - h)) / (2.0 * h)
+
+
+def at(method, x, *t):
+    """A field method taking (r, theta, ...) evaluated at Cartesian points x."""
+    return method(*cartesian_to_polar(x), *t)
 
 
 class TestBumpProfile:
@@ -34,41 +49,28 @@ class TestBumpProfile:
 
 
 class TestFieldDerivatives:
+    """Analytic derivatives at polar nodes against differences at Cartesian points."""
+
     def field_points(self, n=60, seed=11):
         rng = np.random.default_rng(seed)
         r = rng.uniform(1.3, 1.7, n)
         th = rng.uniform(0, 2 * math.pi, n)
-        return polar_to_cartesian(r, th), rng.uniform(0.3, 0.7, n)
+        return r, th, rng.uniform(0.3, 0.7, n)
 
     def test_scalar_gradient_vs_fd(self):
         p = wf.ScalarBumpField(
             GEOM, (1.2, 1.8), wf.FourierPoly(((0, 1.0, 0.0), (2, 0.5, 0.3)))
         )
-        x, _ = self.field_points()
+        r, th, _ = self.field_points()
+        x = polar_to_cartesian(r, th)
         h = 1e-6
-        grad = p.gradient(x, 0.0)
+        grad = p.gradient(r, th, 0.0)
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = h
-            fd = (p.value(x + e, 0.0) - p.value(x - e, 0.0)) / (2 * h)
+            fd = (at(p.value, x + e, 0.0) - at(p.value, x - e, 0.0)) / (2 * h)
             scale = 1.0 + np.max(np.abs(fd))
             assert np.max(np.abs(grad[..., axis] - fd)) < 1e-6 * scale
-
-    def test_scalar_hessian_vs_fd(self):
-        p = wf.ScalarBumpField(GEOM, (1.2, 1.8), wf.FourierPoly(((1, 0.7, 0.4),)))
-        x, _ = self.field_points(30)
-        h = 1e-5
-        p_xx, p_xy, p_yy = p.hessian(x, 0.0)
-        ex, ey = np.array([h, 0.0]), np.array([0.0, h])
-        fd_xx = (p.value(x + ex, 0.0) - 2 * p.value(x, 0.0) + p.value(x - ex, 0.0)) / h**2
-        fd_yy = (p.value(x + ey, 0.0) - 2 * p.value(x, 0.0) + p.value(x - ey, 0.0)) / h**2
-        fd_xy = (
-            p.value(x + ex + ey, 0.0) - p.value(x + ex - ey, 0.0)
-            - p.value(x - ex + ey, 0.0) + p.value(x - ex - ey, 0.0)
-        ) / (4 * h**2)
-        assert np.max(np.abs(p_xx - fd_xx)) < 1e-4
-        assert np.max(np.abs(p_yy - fd_yy)) < 1e-4
-        assert np.max(np.abs(p_xy - fd_xy)) < 1e-4
 
     def test_vector_field_gradient_and_dt_vs_fd(self):
         phi = wf.VectorBumpField(
@@ -77,16 +79,17 @@ class TestFieldDerivatives:
             wf.FourierPoly(((0, 0.5, 0.0), (2, 0.3, 0.0))),
             (0.1, 0.9),
         )
-        x, t = self.field_points()
+        r, th, t = self.field_points()
+        x = polar_to_cartesian(r, th)
         h = 1e-6
-        grad = phi.gradient(x, t)
+        grad = phi.gradient(r, th, t)
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = h
-            fd = (phi.value(x + e, t) - phi.value(x - e, t)) / (2 * h)
+            fd = (at(phi.value, x + e, t) - at(phi.value, x - e, t)) / (2 * h)
             assert np.max(np.abs(grad[..., axis] - fd)) < 1e-5
-        fd_t = (phi.value(x, t + h) - phi.value(x, t - h)) / (2 * h)
-        assert np.max(np.abs(phi.time_deriv(x, t) - fd_t)) < 1e-5
+        fd_t = (phi.value(r, th, t + h) - phi.value(r, th, t - h)) / (2 * h)
+        assert np.max(np.abs(phi.time_deriv(r, th, t) - fd_t)) < 1e-5
 
     def test_perp_gradient_divergence_free(self):
         psi = wf.ScalarBumpField(
@@ -94,8 +97,7 @@ class TestFieldDerivatives:
             t_support=(0.15, 0.85),
         )
         phi = wf.PerpGradientField(psi)
-        x, t = self.field_points()
-        grad = phi.gradient(x, t)
+        grad = phi.gradient(*self.field_points())
         divergence = grad[..., 0, 0] + grad[..., 1, 1]
         assert np.max(np.abs(divergence)) < 1e-14
 
@@ -104,14 +106,25 @@ class TestFieldDerivatives:
             GEOM, (1.25, 1.8), wf.FourierPoly(((1, 0.6, 0.2),)), t_support=(0.15, 0.85)
         )
         phi = wf.PerpGradientField(psi)
-        x, t = self.field_points(30)
+        r, th, t = self.field_points(30)
+        x = polar_to_cartesian(r, th)
         h = 1e-5
-        grad = phi.gradient(x, t)
+        grad = phi.gradient(r, th, t)
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = h
-            fd = (phi.value(x + e, t) - phi.value(x - e, t)) / (2 * h)
+            fd = (at(phi.value, x + e, t) - at(phi.value, x - e, t)) / (2 * h)
             assert np.max(np.abs(grad[..., axis] - fd)) < 1e-4
+        # the value is perp-grad(psi): (psi_y, -psi_x), by differences of psi itself
+        fd_psi = [
+            (at(psi.value, x + e, t) - at(psi.value, x - e, t)) / (2 * h)
+            for e in (np.array([h, 0.0]), np.array([0.0, h]))
+        ]
+        value = phi.value(r, th, t)
+        assert np.max(np.abs(value[..., 0] - fd_psi[1])) < 1e-6
+        assert np.max(np.abs(value[..., 1] + fd_psi[0])) < 1e-6
+        fd_t = (phi.value(r, th, t + h) - phi.value(r, th, t - h)) / (2 * h)
+        assert np.max(np.abs(phi.time_deriv(r, th, t) - fd_t)) < 1e-4
 
     def test_support_violation_rejected(self):
         with pytest.raises(wf.SupportError):
@@ -155,16 +168,12 @@ class TestLinearSystemResidual:
 class TestDivergenceResidual:
     def test_radial_bump_tiny(self):
         p = wf.ScalarBumpField(GEOM, (1.2, 1.8), wf.FourierPoly(((0, 1.0, 0.0),)))
-        res = wf.weak_residual_divergence(
-            lambda x, t: ss.vbar(x, t, GEOM, PARAMS), p, GEOM, t=0.0
-        )
+        res = wf.weak_residual_divergence(vbar_polar, p, GEOM, t=0.0)
         assert abs(res) < 1e-12
 
     def test_zero_gradient_exact_zero(self):
         p = wf.ScalarBumpField(GEOM, (1.2, 1.8), wf.FourierPoly(((0, 0.0, 0.0),)))
-        res = wf.weak_residual_divergence(
-            lambda x, t: ss.vbar(x, t, GEOM, PARAMS), p, GEOM, t=0.5
-        )
+        res = wf.weak_residual_divergence(vbar_polar, p, GEOM, t=0.5)
         assert res == 0.0
 
     def test_generic_scalar_refinement(self):
@@ -173,9 +182,7 @@ class TestDivergenceResidual:
         )
         grids = ((2, 2), (4, 4), (8, 8))
         residuals = [
-            wf.weak_residual_divergence(
-                lambda x, t: ss.vbar(x, t, GEOM, PARAMS), p, GEOM, t=0.4, cells=cells, order=2
-            )
+            wf.weak_residual_divergence(vbar_polar, p, GEOM, t=0.4, cells=cells, order=2)
             for cells in grids
         ]
         study = wf.RefinementStudy(levels=grids, residuals=np.asarray(residuals))
