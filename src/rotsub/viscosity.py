@@ -17,17 +17,19 @@ under Crank-Nicolson time stepping:
     E(t_n) + nu * sum_m dt * G(midpoint_m) = E(0)
 
 with E = pi * sum_i r_i a_i^2 h and G the discrete gradient energy.
+
+Everything runs on plain arrays: ``solve_parabolic`` returns its stepper
+(grid, profile, time, energy drift) and ``vanishing_viscosity_study`` the
+distances with their fitted slope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .burgers import RadialProfile
 from .geometry import AnnulusGeometry
 from .subsolution import alpha0
 
@@ -54,12 +56,12 @@ def radial_grid(geom: AnnulusGeometry, n: int):
     return np.linspace(geom.rho, geom.R, n + 1)
 
 
-def initial_profile(geom: AnnulusGeometry, grid) -> RadialProfile:
+def initial_profile(geom: AnnulusGeometry, grid):
     """a0 sampled on the grid; a node coinciding with r0 takes the midpoint value 0."""
     grid = np.asarray(grid, dtype=float)
     values = alpha0(grid, geom)
     values[np.isclose(grid, geom.r0, rtol=0.0, atol=1e-12)] = 0.0
-    return RadialProfile(grid=grid, values=values, t=0.0)
+    return values
 
 
 def l2_rdr_norm(grid, values) -> float:
@@ -69,46 +71,31 @@ def l2_rdr_norm(grid, values) -> float:
     return math.sqrt(TWO_PI * float(np.trapezoid(values**2 * grid, grid)))
 
 
-@dataclass(frozen=True)
-class ParabolicProblem:
-    """Radial diffusion problem: geometry, viscosity, resolution, optional source.
+class _CrankNicolson:
+    """Crank-Nicolson stepper on ``radial_grid(geom, n)``: the profile
+    ``u_full`` (boundary nodes included) at time ``t``, with the energy
+    bookkeeping of the balance above.
 
-    ``source(r, t)`` (vectorized) adds a right-hand side, used for
-    manufactured-solution convergence tests.  The zero-viscosity limit is
-    studied only by sweeping nu downward, never by setting nu = 0.
+    ``initial(r)`` replaces the jump profile a0 and ``source(r, t)``
+    (vectorized) adds a right-hand side; both serve manufactured-solution
+    tests.  The zero-viscosity limit is studied only by sweeping nu downward,
+    never by setting nu = 0.
     """
 
-    geom: AnnulusGeometry
-    nu: float
-    n: int = 400
-    dt: float = 1e-3
-    source: object = None
-
-    def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
-        if not self.dt > 0.0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-
-
-@dataclass(frozen=True)
-class EvolutionRecord:
-    """Snapshots at requested output times plus distances to the initial profile."""
-
-    times: np.ndarray
-    snapshots: tuple
-    distances: np.ndarray
-    energy_drift: float
-
-
-class _CrankNicolson:
-    def __init__(self, problem: ParabolicProblem, initial=None):
-        self.problem = problem
-        grid = radial_grid(problem.geom, problem.n)
+    def __init__(self, geom: AnnulusGeometry, nu: float, n: int, dt: float,
+                 initial=None, source=None):
+        if not nu > 0.0:
+            raise ValueError(f"viscosity must be positive, got {nu}")
+        if not dt > 0.0:
+            raise ValueError(f"time step must be positive, got {dt}")
+        self.nu = nu
+        self.dt = dt
+        self.source = source
+        grid = radial_grid(geom, n)
         self.grid = grid
         self.h = float(grid[1] - grid[0])
         if initial is None:
-            self.u_full = initial_profile(problem.geom, grid).values.copy()
+            self.u_full = initial_profile(geom, grid)
         else:
             self.u_full = np.asarray(initial(grid), dtype=float)
             self.u_full[0] = 0.0
@@ -125,7 +112,7 @@ class _CrankNicolson:
         self.r_interior = r
         self.r_faces = 0.5 * (grid[:-1] + grid[1:])
 
-        mu = 0.5 * problem.nu * problem.dt
+        mu = 0.5 * nu * dt
         # scipy is imported here, by its only user, so that importing the
         # package (and every other command) does not pay its import time
         from scipy.linalg.lapack import dgttrf, dgttrs
@@ -158,107 +145,68 @@ class _CrankNicolson:
         return out
 
     def step(self):
-        problem = self.problem
         # the Dirichlet values hold for t > 0; the t = 0 vector keeps the raw
         # initial profile (whose boundary values need not be compatible)
         self.u_full[0] = 0.0
         self.u_full[-1] = 0.0
         u = self.u_full[1:-1]
         rhs = self._apply_rhs(u)
-        if problem.source is not None:
-            rhs = rhs + problem.dt * np.asarray(
-                problem.source(self.r_interior, self.t + 0.5 * problem.dt), dtype=float
+        if self.source is not None:
+            rhs = rhs + self.dt * np.asarray(
+                self.source(self.r_interior, self.t + 0.5 * self.dt), dtype=float
             )
         u_new, info = self._lhs_solve(*self._lhs_lu, rhs)
         if info != 0 or not np.all(np.isfinite(u_new)):
             raise ValueError(f"Crank-Nicolson step gave non-finite values (dgttrs info {info})")
         midpoint = np.zeros_like(self.u_full)
         midpoint[1:-1] = 0.5 * (u + u_new)
-        self.dissipated += problem.nu * problem.dt * self._gradient_energy(midpoint)
+        self.dissipated += self.nu * self.dt * self._gradient_energy(midpoint)
         self.u_full[1:-1] = u_new
-        self.t += problem.dt
+        self.t += self.dt
 
     @property
     def energy_drift(self) -> float:
-        if self.problem.source is not None:
+        if self.source is not None:
             return math.nan
         return abs(self._energy(self.u_full) + self.dissipated - self.energy0)
 
 
-def solve_parabolic(problem: ParabolicProblem, t_out, initial=None) -> EvolutionRecord:
-    """Crank-Nicolson evolution with snapshots at (step-rounded) output times.
+def solve_parabolic(geom: AnnulusGeometry, nu: float, t_end: float, n: int, dt: float,
+                    initial=None, source=None) -> _CrankNicolson:
+    """Crank-Nicolson evolution over round(t_end / dt) steps.
 
     Unconditionally stable; second order in both the grid spacing and the time
-    step.  ``initial`` overrides the default jump profile (callable of r).
+    step.  Returns the stepper: ``grid``, the profile ``u_full`` at time ``t``,
+    and ``energy_drift``.
     """
-    t_out = np.asarray(t_out, dtype=float)
-    if t_out.ndim != 1 or t_out.size == 0 or np.any(np.diff(t_out) <= 0) or t_out[0] < 0:
-        raise ValueError("t_out must be a nonempty strictly increasing array of times >= 0")
-    solver = _CrankNicolson(problem, initial=initial)
-    target_steps = np.round(t_out / problem.dt).astype(int)
-
-    base = initial_profile(problem.geom, solver.grid).values if initial is None else solver.u_full.copy()
-    snapshots = []
-    times = []
-    distances = []
-    step_count = 0
-    for target in target_steps:
-        while step_count < target:
-            solver.step()
-            step_count += 1
-        snapshots.append(
-            RadialProfile(grid=solver.grid, values=solver.u_full.copy(), t=solver.t)
-        )
-        times.append(solver.t)
-        distances.append(l2_rdr_norm(solver.grid, solver.u_full - base))
-    return EvolutionRecord(
-        times=np.asarray(times),
-        snapshots=tuple(snapshots),
-        distances=np.asarray(distances),
-        energy_drift=solver.energy_drift,
-    )
+    solver = _CrankNicolson(geom, nu, n, dt, initial=initial, source=source)
+    for _ in range(round(t_end / dt)):
+        solver.step()
+    return solver
 
 
-@dataclass(frozen=True)
-class ViscositySweep:
-    """Distance to the inviscid stationary profile per viscosity, with a log-log slope."""
-
-    nu: np.ndarray
-    distances: np.ndarray
-    t_probe: float
-    slope: float
-
-    @property
-    def monotone(self) -> bool:
-        return bool(np.all(np.diff(self.distances) < 0))
-
-
-def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float,
-                              n: int = 1600, dt: float | None = None) -> ViscositySweep:
+def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float, n: int, dt: float):
     """|| a_nu(., t_probe) - a0 ||_{L^2(r dr)} along a decreasing viscosity list.
 
     Requires at least three strictly decreasing viscosities, a positive
     finite probe time, and a time step that takes at least one and finitely
-    many steps to it.  The fitted slope is reported as an observation; the
-    substantive check is that the distances decrease strictly, i.e. the
-    viscous profiles converge back to the stationary one.
+    many steps to it.  Returns the distances and their fitted log-log slope
+    in nu.  The slope is reported as an observation; the substantive check is
+    that the distances decrease strictly, i.e. the viscous profiles converge
+    back to the stationary one.
     """
     nu_arr = np.asarray(nu_list, dtype=float)
     if nu_arr.size < 3 or np.any(np.diff(nu_arr) >= 0) or np.any(nu_arr <= 0):
         raise ValueError("need >= 3 strictly decreasing positive viscosities")
     if not 0.0 < t_probe < math.inf:
         raise ValueError(f"probe time must be positive and finite, got {t_probe}")
-    if dt is None:
-        dt = t_probe / 800.0
-    # round(t_probe / dt) steps, at least one; ParabolicProblem rejects a dt <= 0
+    # round(t_probe / dt) steps, at least one; the stepper rejects a dt <= 0
     if dt > 0.0 and not 0.5 < t_probe / dt < math.inf:
         raise ValueError(f"time step {dt} takes no step or unboundedly many to the probe time {t_probe}")
     distances = []
     for nu in nu_arr:
-        problem = ParabolicProblem(geom=geom, nu=float(nu), n=n, dt=dt)
-        record = solve_parabolic(problem, [t_probe])
-        distances.append(record.distances[-1])
+        solver = solve_parabolic(geom, float(nu), t_probe, n, dt)
+        distances.append(l2_rdr_norm(solver.grid, solver.u_full - initial_profile(geom, solver.grid)))
     distances = np.asarray(distances)
     slope = float(np.polyfit(np.log(nu_arr), np.log(distances), 1)[0])
-    return ViscositySweep(nu=nu_arr, distances=distances, t_probe=t_probe, slope=slope)
-
+    return distances, slope

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rotsub.burgers import (
     CFLError,
     FVState,
-    RadialProfile,
     _godunov_flux,
     compare_exact_vs_fv,
     fan_interval,
@@ -66,7 +65,7 @@ class TestRarefaction:
 
 class TestGodunov:
     def test_constant_state_fixed_point(self):
-        state = initial_state(lambda r: np.ones_like(r), GEOM, 0.1, 64)
+        state = FVState(edges=np.linspace(GEOM.rho, GEOM.R, 65), averages=np.ones(64), t=0.0, lam=0.1)
         start = state.averages.copy()
         for _ in range(20):
             state = godunov_step(state, 0.5 * state.h / 0.1)
@@ -74,7 +73,7 @@ class TestGodunov:
         assert np.max(np.abs(state.averages - 1.0)) < 1e-14
 
     def test_mass_conserved(self):
-        state = initial_state(lambda r: np.sign(r - GEOM.r0), GEOM, 0.1, 500)
+        state = initial_state(GEOM, 0.1, 500)
         mass0 = state.mass
         dt = 0.9 * state.h / 0.1
         for _ in range(100):
@@ -82,23 +81,13 @@ class TestGodunov:
         assert abs(state.mass - mass0) < 1e-10
 
     def test_cfl_violation_rejected(self):
-        state = initial_state(lambda r: np.sign(r - GEOM.r0), GEOM, 0.1, 100)
+        state = initial_state(GEOM, 0.1, 100)
         with pytest.raises(CFLError):
             godunov_step(state, 2.0 * state.h / 0.1)
 
     def test_maximum_principle(self):
-        profile = godunov_solve(lambda r: np.sign(r - GEOM.r0), GEOM, 0.1, 0.5, 800)
-        assert np.all(np.abs(profile.values) <= 1.0 + 1e-12)
-
-    def test_nonuniform_edges_rejected(self):
-        with pytest.raises(ValueError):
-            FVState(edges=np.array([0.0, 0.5, 2.0]), averages=np.zeros(2), t=0.0, lam=0.1)
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            RadialProfile(grid=np.array([1.0, 1.0, 2.0]), values=np.zeros(3), t=0.0)
-        with pytest.raises(ValueError):
-            RadialProfile(grid=np.array([1.0, 2.0]), values=np.array([1.0, np.inf]), t=0.0)
+        state = godunov_solve(GEOM, 0.1, 0.5, 800)
+        assert np.all(np.abs(state.averages) <= 1.0 + 1e-12)
 
 
 class TestExactVsFV:
@@ -114,15 +103,15 @@ class TestExactVsFV:
 
     def test_projection_error_at_t0(self):
         n = 501  # odd: the jump falls inside a cell
-        l1, _ = compare_exact_vs_fv(GEOM, PARAMS, 0.0, n)
+        l1, _, _ = compare_exact_vs_fv(GEOM, PARAMS, 0.0, n)
         h = GEOM.width / n
         assert l1 <= 2.0 * h + 1e-12
 
     def test_linf_away_from_edges_smaller_than_global(self):
-        profile = godunov_solve(lambda r: np.sign(r - GEOM.r0), GEOM, PARAMS.lam, 0.5, 2000)
-        exact = rarefaction(profile.grid, 0.5, GEOM.r0, PARAMS.lam)
-        global_linf = float(np.max(np.abs(profile.values - exact)))
-        _, interior_linf = compare_exact_vs_fv(GEOM, PARAMS, 0.5, 2000)
+        state = godunov_solve(GEOM, PARAMS.lam, 0.5, 2000)
+        exact = rarefaction(state.centers, 0.5, GEOM.r0, PARAMS.lam)
+        global_linf = float(np.max(np.abs(state.averages - exact)))
+        _, interior_linf, _ = compare_exact_vs_fv(GEOM, PARAMS, 0.5, 2000)
         assert interior_linf < global_linf
 
     def test_fan_width_scales_with_lambda(self):

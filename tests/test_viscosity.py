@@ -13,10 +13,9 @@ GEOM = AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=1.0)
 
 class TestSetup:
     def test_positive_viscosity_required(self):
-        with pytest.raises(ValueError):
-            vc.ParabolicProblem(geom=GEOM, nu=0.0)
-        with pytest.raises(ValueError):
-            vc.ParabolicProblem(geom=GEOM, nu=-1e-3)
+        for nu, dt in [(0.0, 1e-3), (-1e-3, 1e-3), (1e-2, 0.0)]:
+            with pytest.raises(ValueError):
+                vc._CrankNicolson(GEOM, nu, 200, dt)
 
     def test_grid_contains_interface(self):
         grid = vc.radial_grid(GEOM, 401)
@@ -26,46 +25,38 @@ class TestSetup:
         grid = vc.radial_grid(GEOM, 400)
         prof = vc.initial_profile(GEOM, grid)
         i0 = np.argmin(np.abs(grid - GEOM.r0))
-        assert prof.values[i0] == 0.0
-        assert prof.values[i0 - 1] == pytest.approx(-1.0 / grid[i0 - 1] ** 2)
-        assert prof.values[i0 + 1] == pytest.approx(1.0 / grid[i0 + 1] ** 2)
+        assert prof[i0] == 0.0
+        assert prof[i0 - 1] == pytest.approx(-1.0 / grid[i0 - 1] ** 2)
+        assert prof[i0 + 1] == pytest.approx(1.0 / grid[i0 + 1] ** 2)
 
 
 class TestSolver:
     def test_t0_snapshot_is_initial_data(self):
-        problem = vc.ParabolicProblem(geom=GEOM, nu=1e-2, n=200, dt=1e-3)
-        record = vc.solve_parabolic(problem, [0.0])
-        grid = record.snapshots[0].grid
-        expected = vc.initial_profile(GEOM, grid).values
-        assert np.array_equal(record.snapshots[0].values, expected)
-        assert record.distances[0] == 0.0
+        solver = vc.solve_parabolic(GEOM, 1e-2, 0.0, 200, 1e-3)
+        assert solver.t == 0.0
+        assert np.array_equal(solver.u_full, vc.initial_profile(GEOM, solver.grid))
 
     def test_long_time_decay_to_zero(self):
-        problem = vc.ParabolicProblem(geom=GEOM, nu=0.5, n=200, dt=5e-3)
-        record = vc.solve_parabolic(problem, [1.0, 5.0, 20.0])
-        sups = [np.max(np.abs(s.values)) for s in record.snapshots]
+        sups = [np.max(np.abs(vc.solve_parabolic(GEOM, 0.5, t, 200, 5e-3).u_full)) for t in (1.0, 5.0, 20.0)]
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 1e-3
 
     def test_maximum_principle(self):
         for nu in (1e-2, 1e-3, 1e-4):
-            problem = vc.ParabolicProblem(geom=GEOM, nu=nu, n=400, dt=1e-3)
-            record = vc.solve_parabolic(problem, [0.05, 0.2, 1.0])
-            for snap in record.snapshots:
-                assert np.max(np.abs(snap.values)) <= 1.0 / GEOM.rho**2 + 1e-12
+            for t in (0.05, 0.2, 1.0):
+                solver = vc.solve_parabolic(GEOM, nu, t, 400, 1e-3)
+                assert np.max(np.abs(solver.u_full)) <= 1.0 / GEOM.rho**2 + 1e-12
 
     def test_energy_balance_drift(self):
-        problem = vc.ParabolicProblem(geom=GEOM, nu=1e-2, n=400, dt=1e-3)
-        record = vc.solve_parabolic(problem, [1.0])
-        assert record.energy_drift < 1e-6
+        solver = vc.solve_parabolic(GEOM, 1e-2, 1.0, 400, 1e-3)
+        assert solver.energy_drift < 1e-6
         # with the self-adjoint discretization the identity is machine exact
-        assert record.energy_drift < 1e-10
+        assert solver.energy_drift < 1e-10
 
     def test_factored_step_matches_banded_solve(self):
         from scipy.linalg import solve_banded
 
-        problem = vc.ParabolicProblem(geom=GEOM, nu=1e-3, n=800, dt=2.5e-3)
-        solver = vc._CrankNicolson(problem)
+        solver = vc._CrankNicolson(GEOM, 1e-3, 800, 2.5e-3)
         mu = solver.mu
         ab = np.zeros((3, solver.r_interior.size))
         ab[0, 1:] = -mu * solver.c_plus[:-1]
@@ -78,17 +69,10 @@ class TestSolver:
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_non_finite_step_rejected(self):
-        solver = vc._CrankNicolson(vc.ParabolicProblem(geom=GEOM, nu=1e-2, n=200, dt=1e-3))
+        solver = vc._CrankNicolson(GEOM, 1e-2, 200, 1e-3)
         solver.u_full[50] = np.nan
         with pytest.raises(ValueError):
             solver.step()
-
-    def test_output_times_validated(self):
-        problem = vc.ParabolicProblem(geom=GEOM, nu=1e-2)
-        with pytest.raises(ValueError):
-            vc.solve_parabolic(problem, [0.5, 0.5])
-        with pytest.raises(ValueError):
-            vc.solve_parabolic(problem, [])
 
 
 class TestManufacturedSolution:
@@ -108,10 +92,10 @@ class TestManufacturedSolution:
         return math.exp(-t) * (-s - cls.nu * operator)
 
     def run(self, n, dt, t_end=0.5):
-        problem = vc.ParabolicProblem(geom=GEOM, nu=self.nu, n=n, dt=dt, source=self.source)
-        record = vc.solve_parabolic(problem, [t_end], initial=lambda r: self.exact(r, 0.0))
-        snap = record.snapshots[-1]
-        return vc.l2_rdr_norm(snap.grid, snap.values - self.exact(snap.grid, snap.t))
+        solver = vc.solve_parabolic(
+            GEOM, self.nu, t_end, n, dt, initial=lambda r: self.exact(r, 0.0), source=self.source
+        )
+        return vc.l2_rdr_norm(solver.grid, solver.u_full - self.exact(solver.grid, solver.t))
 
     def test_second_order_in_space(self):
         errors = [self.run(n, 2e-4) for n in (16, 32, 64)]
@@ -126,58 +110,56 @@ class TestManufacturedSolution:
 
 class TestVanishingViscosity:
     def test_distances_strictly_decreasing(self):
-        sweep = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, n=800, dt=5e-3)
-        assert sweep.monotone
-        assert sweep.distances[0] > sweep.distances[-1] > 0.0
+        distances, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 800, 5e-3)
+        assert np.all(np.diff(distances) < 0)
+        assert distances[0] > distances[-1] > 0.0
 
     def test_observed_slope_near_quarter(self):
-        sweep = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, n=1600, dt=2.5e-3)
+        _, slope = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1600, 2.5e-3)
         # observed scaling of the layer mass; reported, not a sharp claim
-        assert 0.15 <= sweep.slope <= 0.35
+        assert 0.15 <= slope <= 0.35
 
     def test_grid_independence(self):
-        coarse = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, n=1200, dt=4e-3)
-        fine = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, n=2400, dt=4e-3)
-        rel = np.abs(fine.distances - coarse.distances) / fine.distances
+        coarse, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1200, 4e-3)
+        fine, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 2400, 4e-3)
+        rel = np.abs(fine - coarse) / fine
         assert np.max(rel) < 0.01
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3], 1.0)
+            vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3], 1.0, 8, 1e-2)
         with pytest.raises(ValueError):
-            vc.vanishing_viscosity_study(GEOM, [1e-4, 1e-3, 1e-2], 1.0)
+            vc.vanishing_viscosity_study(GEOM, [1e-4, 1e-3, 1e-2], 1.0, 8, 1e-2)
 
-    @pytest.mark.parametrize("t_probe, dt", [(math.inf, None), (math.inf, 1e-3), (1.0, 1e-320)])
+    @pytest.mark.parametrize("t_probe, dt", [(math.inf, 1e-3), (1.0, 1e-320)])
     def test_unbounded_step_count_rejected(self, t_probe, dt):
         with pytest.raises(ValueError, match="finite|unboundedly"):
-            vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], t_probe, n=8, dt=dt)
+            vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], t_probe, 8, dt)
 
 
-def lift(profile, r, th):
-    """The plane field a(r) (sin th, -cos th) of a radial speed profile."""
-    return azimuthal(np.interp(r, profile.grid, profile.values), th)
+def lift(grid, a, r, th):
+    """The plane field a(r) (sin th, -cos th) of a radial speed profile on ``grid``."""
+    return azimuthal(np.interp(r, grid, a), th)
 
 
 class TestLift:
     def test_initial_profile_lifts_to_initial_velocity(self):
         grid = vc.radial_grid(GEOM, 2000)
-        profile = vc.initial_profile(GEOM, grid)
         rng = np.random.default_rng(20)
         r = rng.uniform(1.01, 1.99, 200)
         r = r[np.abs(r - GEOM.r0) > 2e-3]  # stay off the interpolated jump cell
         th = rng.uniform(0, 2 * math.pi, r.size)
-        got = lift(profile, r, th)
+        got = lift(grid, vc.initial_profile(GEOM, grid), r, th)
         x = polar_to_cartesian(r, th)
         want = initial_velocity(x, GEOM)
         assert np.max(np.abs(got - want)) < 1e-5
 
     def test_lifted_field_divergence_free(self):
-        problem = vc.ParabolicProblem(geom=GEOM, nu=1e-3, n=400, dt=2e-3)
-        record = vc.solve_parabolic(problem, [0.5])
+        solver = vc.solve_parabolic(GEOM, 1e-3, 0.5, 400, 2e-3)
         p = wf.ScalarBumpField(
             GEOM, (1.1, 1.9), wf.FourierPoly(((0, 1.0, 0.0), (2, 0.5, 0.4)))
         )
-        res = wf.weak_residual_divergence(lambda r, th, t: lift(record.snapshots[-1], r, th), p, GEOM)
+        res = wf.weak_residual_divergence(lambda r, th, t: lift(solver.grid, solver.u_full, r, th), p, GEOM)
         assert abs(res) < 1e-12
 
     def test_profile_norm_convention(self):
