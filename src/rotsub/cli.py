@@ -188,6 +188,15 @@ def _violations(report) -> list:
     ]
 
 
+def _judged_admissible(results: dict, geom, params) -> dict:
+    """``results`` with the violated admissibility bounds under ``violations``:
+    a check may hold for inadmissible parameters, but it is never a PASS."""
+    report = validate_params(geom, params)
+    results["violations"] = _violations(report)
+    results["ok"] = results["ok"] and report.ok
+    return results
+
+
 # Each handler maps a config to ``(columns, results, summary)``: the CSV
 # columns (header -> values, or None for no table), the JSON results with the
 # verdict ``ok`` and the ``evidence`` count of measured quantities behind it,
@@ -222,8 +231,7 @@ def cmd_subsolution(config):
             f"grids need n_r >= 0, n_theta >= 1 and n_t >= 0, got {n_r}, {n_theta} and {n_t}"
         )
     check = check_constraint_structure(geom, params, n_r=n_r, n_theta=n_theta, n_t=n_t)
-    admissible = validate_params(geom, params)
-    results = {
+    results = _judged_admissible({
         "n_samples": check.n_samples,
         "n_in_band": check.n_in_band,
         "strictness_applicable": check.strictness_applicable,
@@ -232,10 +240,9 @@ def cmd_subsolution(config):
         "max_gap_formula_dev": check.max_gap_formula_dev,
         "max_eq_dev_outside": check.max_eq_dev_outside,
         "first_violation": check.first_violation,
-        "violations": _violations(admissible),
         "evidence": check.n_samples,
-        "ok": check.ok and admissible.ok,
-    }
+        "ok": check.ok,
+    }, geom, params)
     # the table is built only once the check is done, so the two never share memory
     r = geom.rho + (np.arange(n_r) + 0.5) * geom.width / n_r
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
@@ -255,7 +262,6 @@ def cmd_energy(config):
     columns = {
         "t": times, "energy_total": energies, "E0": np.full_like(times, e0), "deficit": e0 - energies,
     }
-    admissible = validate_params(geom, params)
     if params.epsilon == 0.0:
         ok = bool(np.max(np.abs(energies - e0)) < 1e-10 * e0)
         behavior = "conserved"
@@ -270,16 +276,15 @@ def cmd_energy(config):
             and np.all(np.diff(energies)[resolved] < 0.0)
         )
         behavior = "strictly decreasing"
-    results = {
+    results = _judged_admissible({
         "E0": e0,
         "times": times.tolist(),
         "energy": energies.tolist(),
         "D": deficit.tolist(),
         "expected_behavior": behavior,
-        "violations": _violations(admissible),
         "evidence": times.size,
-        "ok": ok and admissible.ok,
-    }
+        "ok": ok,
+    }, geom, params)
     return columns, results, f"energy ({behavior})"
 
 
@@ -288,8 +293,9 @@ def cmd_burgers(config):
     params = _params(config)
     t_probe = config["burgers.t"]
     meshes = config["burgers.n_cells"]
-    if not 0.0 < t_probe < math.inf:
-        raise ConfigError(f"burgers.t must be positive and finite, got {t_probe}")
+    # the lambda bound keeps the exact fan inside the annulus only for t <= T
+    if not 0.0 < t_probe <= geom.T:
+        raise ConfigError(f"burgers.t must lie in (0, geometry.T] = (0, {geom.T}], got {t_probe}")
     if len(meshes) < 2:
         raise ConfigError("burgers.n_cells needs at least two mesh sizes")
     if min(meshes) < 2:
@@ -302,7 +308,7 @@ def cmd_burgers(config):
     columns = {
         "n_cells": meshes, "l1_error": l1, "linf_interior": linf, "l1_ratio": [float("nan"), *ratios],
     }
-    results = {
+    results = _judged_admissible({
         "t": t_probe,
         "n_cells": list(meshes),
         "l1_error": l1,
@@ -311,7 +317,7 @@ def cmd_burgers(config):
         "max_principle_ok": in_bounds,
         "evidence": len(ratios),
         "ok": in_bounds and all(1.7 <= ratio <= 2.3 for ratio in ratios),
-    }
+    }, geom, params)
     return columns, results, f"burgers oracle (L1 ratios {['%.2f' % r for r in ratios]})"
 
 
@@ -377,13 +383,13 @@ def cmd_residual(config):
         ratios.append(float(np.median(np.abs(coarse[keep]) / np.abs(fine[keep]))))
     fd_ok = all(3.5 <= ratio <= 4.5 for ratio in ratios)
 
-    results = {
+    results = _judged_admissible({
         "fields": field_results,
         "divergence_residual": div_residual,
         "fd_median_ratios": ratios,
         "evidence": measured,
         "ok": bool(all_ok and div_ok and fd_ok),
-    }
+    }, geom, params)
     return table, results, "weak-form residuals"
 
 

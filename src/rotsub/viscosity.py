@@ -72,15 +72,10 @@ def l2_rdr_norm(grid, values) -> float:
 
 
 class _CrankNicolson:
-    """Crank-Nicolson stepper on ``radial_grid(geom, n)``: the profile
-    ``u_full`` (boundary nodes included) at time ``t``, with the energy
-    bookkeeping of the balance above.
-
-    ``initial(r)`` replaces the jump profile a0 and ``source(r, t)``
-    (vectorized) adds a right-hand side; both serve manufactured-solution
-    tests.  The zero-viscosity limit is studied only by sweeping nu downward,
-    never by setting nu = 0.
-    """
+    """Crank-Nicolson stepper: ``grid``, the profile ``u_full`` at time ``t``
+    and the energy balance.  ``initial(r)`` replaces a0 and ``source(r, t)``
+    adds a right-hand side, for manufactured-solution tests.  nu = 0 is never
+    set: the zero-viscosity limit is a sweep of nu downward."""
 
     def __init__(self, geom: AnnulusGeometry, nu: float, n: int, dt: float,
                  initial=None, source=None):
@@ -98,8 +93,6 @@ class _CrankNicolson:
             self.u_full = initial_profile(geom, grid)
         else:
             self.u_full = np.asarray(initial(grid), dtype=float)
-            self.u_full[0] = 0.0
-            self.u_full[-1] = 0.0
         self.t = 0.0
 
         r = grid[1:-1]

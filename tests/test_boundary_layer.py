@@ -5,7 +5,7 @@ import pytest
 
 from rotsub import boundary_layer as bl
 from rotsub import weakform as wf
-from rotsub.geometry import AnnulusGeometry, boundary_distance, polar_to_cartesian
+from rotsub.geometry import AnnulusGeometry, boundary_distance, polar_jacobian, polar_to_cartesian
 from rotsub.quadrature import annulus_rule
 
 GEOM = AnnulusGeometry(rho=1.0, R=2.0, r0=1.5, T=1.0)
@@ -180,6 +180,31 @@ class TestCollarIntegrals:
         for eps in (0.04, 0.01):
             *terms, direct, _ = bl.collar_integrals(v, PSI, CHI, eps, GEOM)
             assert abs(sum(terms) - direct) < 1e-8
+
+    def test_each_term_is_its_frame_pair_of_the_cartesian_gradient(self):
+        # I_k against the quadrature of v_a v_b b . ((a . grad)(w_eps - w)) for
+        # its own pair (a, b) of frame vectors, through the Cartesian gradient
+        # G: the sum check alone cannot see G transposed (or I2 and I3
+        # swapped), since v . (G v) = v . (G^T v)
+        v = bl.HolderVelocity(0.5)
+        eps = 0.02
+        field = bl.CutoffField(PSI, CHI, eps, GEOM)
+        want = np.zeros(4)
+        for sign in (1.0, -1.0):
+            D, TH, W = bl._collar_nodes(GEOM, eps, sign)
+            (t_nn, t_nt, t_tn, t_tt), _ = field.frame_tensor(D, TH, sign)
+            # polar_jacobian takes t_ab = e_a . ((e_b . grad) w), so its t_r,theta is T_tn
+            grad = polar_jacobian(t_nn, t_tn, t_nt, t_tt, TH)
+            nu = sign * np.stack([np.cos(TH), np.sin(TH)], axis=-1)
+            tau = np.stack([-nu[..., 1], nu[..., 0]], axis=-1)
+            frame = {"n": (nu, v.normal_component(D, TH)), "t": (tau, v.tangential_component(D, TH))}
+            for k, (a, b) in enumerate(("nn", "nt", "tn", "tt")):
+                (e_a, v_a), (e_b, v_b) = frame[a], frame[b]
+                pair = np.einsum("...i,...ij,...j->...", e_b, grad, e_a)
+                want[k] += float(np.sum(W * v_a * pair * v_b))
+        got = bl.collar_integrals(v, PSI, CHI, eps, GEOM)[:4]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert abs(want[1] - want[2]) > 1.0  # a swapped pair would be seen
 
     def test_holder_exponent_validated(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,18 @@ class TestExactVsFV:
         _, interior_linf, _ = compare_exact_vs_fv(GEOM, PARAMS, 0.5, 2000)
         assert interior_linf < global_linf
 
+    def test_linf_skips_two_cells_either_side_of_each_fan_edge(self):
+        # at 2000 cells and t = 0.5 the fan edges 1.45 and 1.55 are the cell
+        # edges 900 and 1100; the largest error left is in the third cell
+        # inside the fan from either edge
+        state = godunov_solve(GEOM, PARAMS.lam, 0.5, 2000)
+        assert state.edges[900] == pytest.approx(1.45, abs=1e-14)
+        assert state.edges[1100] == pytest.approx(1.55, abs=1e-14)
+        diff = np.abs(state.averages - rarefaction(state.centers, 0.5, GEOM.r0, PARAMS.lam))
+        kept = np.delete(diff, [898, 899, 900, 901, 1098, 1099, 1100, 1101])
+        _, linf, _ = compare_exact_vs_fv(GEOM, PARAMS, 0.5, 2000)
+        assert linf == kept.max() == diff[902] == diff[1097]
+
     def test_fan_width_scales_with_lambda(self):
         for lam, t in [(0.1, 0.5), (0.05, 0.5), (0.025, 0.5)]:
             left, right = fan_interval(t, GEOM.r0, lam)

@@ -394,6 +394,7 @@ class TestVerdictsNeedEvidence:
     ["validate", "--seed", "1.5"],
     ["validate", "--seed", "inf"],
     ["subsolution", "--grids.n_r", "inf"],
+    ["burgers", "--burgers.t", "1.5"],
 ])
 def test_domain_errors_are_config_errors(tmp_path, argv):
     result = run_cli(*argv, "--out", str(tmp_path))
@@ -406,6 +407,8 @@ def test_domain_errors_are_config_errors(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["subsolution", "--grids.n_r", "10", "--grids.n_theta", "4", "--grids.n_t", "3"],
     ["energy"],
+    ["burgers", "--burgers.n_cells", "20,40"],
+    ["residual", "--residual.levels", "2"],
 ])
 def test_inadmissible_lambda_fails(tmp_path, argv):
     # lambda = 0.3 exceeds 1/R^2 = 0.25: the construction's own checks may
