@@ -395,6 +395,7 @@ class TestVerdictsNeedEvidence:
     ["validate", "--seed", "inf"],
     ["subsolution", "--grids.n_r", "inf"],
     ["burgers", "--burgers.t", "1.5"],
+    ["viscosity", "--viscosity.dt", "1e-300"],
 ])
 def test_domain_errors_are_config_errors(tmp_path, argv):
     result = run_cli(*argv, "--out", str(tmp_path))

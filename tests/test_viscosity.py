@@ -131,9 +131,9 @@ class TestVanishingViscosity:
         with pytest.raises(ValueError):
             vc.vanishing_viscosity_study(GEOM, [1e-4, 1e-3, 1e-2], 1.0, 8, 1e-2)
 
-    @pytest.mark.parametrize("t_probe, dt", [(math.inf, 1e-3), (1.0, 1e-320)])
+    @pytest.mark.parametrize("t_probe, dt", [(math.inf, 1e-3), (1.0, 1e-320), (1.0, 1e-300), (1.0, 9.9e-7)])
     def test_unbounded_step_count_rejected(self, t_probe, dt):
-        with pytest.raises(ValueError, match="finite|unboundedly"):
+        with pytest.raises(ValueError, match="finite|more than"):
             vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], t_probe, 8, dt)
 
 
