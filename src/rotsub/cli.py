@@ -10,6 +10,7 @@ measured nothing (``evidence`` 0), 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -180,6 +181,28 @@ def _write_report(out_dir: Path, name: str, report: dict):
         fh.write("\n")
 
 
+def _blas_threads():
+    """Size of the OpenBLAS thread pool numpy runs, read from the library its
+    wheel bundles; the OPENBLAS_NUM_THREADS variable where that library or its
+    thread-count function is missing.
+
+    The variable alone can be wrong: a caller that loaded numpy before rotsub
+    set it keeps the pool numpy started with.
+    """
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"):
+        try:
+            openblas = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        # the 64-bit-integer build suffixes its symbols with 64_
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            get_num_threads = getattr(openblas, symbol, None)
+            if get_num_threads is not None:
+                get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+                return get_num_threads()
+    return os.environ.get("OPENBLAS_NUM_THREADS")
+
+
 def _violations(report) -> list:
     """The violated admissibility bounds as JSON objects."""
     return [
@@ -300,6 +323,11 @@ def cmd_burgers(config):
         raise ConfigError("burgers.n_cells needs at least two mesh sizes")
     if min(meshes) < 2:
         raise ConfigError(f"burgers.n_cells needs at least two cells per mesh, got {meshes}")
+    if not validate_params(geom, params).ok:
+        # the verdict is FAIL whatever the meshes show, and a fan that covers the
+        # annulus costs lam * n_cells^2 cell updates: report without solving
+        results = {"t": t_probe, "n_cells": list(meshes), "evidence": 0, "ok": False}
+        return None, _judged_admissible(results, geom, params), "burgers oracle (not run)"
     errors = [burgers.compare_exact_vs_fv(geom, params, t_probe, n) for n in meshes]
     l1 = [e[0] for e in errors]
     linf = [e[1] for e in errors]
@@ -503,7 +531,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "seed": config["seed"],
             # the residual numbers depend on it at roundoff level
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "blas_threads": _blas_threads(),
             "config": config,
             "wall_time_s": time.perf_counter() - started,
         },

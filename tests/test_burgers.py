@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotsub import burgers
 from rotsub.burgers import (
+    CFL,
     CFLError,
     FVState,
     _godunov_flux,
@@ -88,6 +92,78 @@ class TestGodunov:
     def test_maximum_principle(self):
         state = godunov_solve(GEOM, 0.1, 0.5, 800)
         assert np.all(np.abs(state.averages) <= 1.0 + 1e-12)
+
+
+def _full_grid_solve(geom, lam, t_end, n_cells):
+    """Every cell updated at every step (reference for the windowed solve)."""
+    state = burgers.initial_state(geom, lam, n_cells)
+    if t_end == 0:
+        return state
+    speed = lam * max(float(np.max(np.abs(state.averages))), 1.0)
+    n_steps = max(1, math.ceil(t_end * speed / (CFL * state.h)))
+    for _ in range(n_steps):
+        state = godunov_step(state, t_end / n_steps)
+    return state
+
+
+class TestActiveWindow:
+    @staticmethod
+    def assert_same(geom, lam, t_end, n_cells):
+        got = godunov_solve(geom, lam, t_end, n_cells)
+        want = _full_grid_solve(geom, lam, t_end, n_cells)
+        assert np.array_equal(got.averages, want.averages)
+        assert got.t == want.t
+        assert np.array_equal(got.edges, want.edges) and got.h == want.h
+
+    # 501 and 999 cells put the jump inside a cell
+    @pytest.mark.parametrize("n_cells", [2, 3, 40, 501, 999, 2000, 4000])
+    @pytest.mark.parametrize("t_end", [0.0, 0.013, 0.5, 1.0])
+    def test_bit_identical_to_full_grid(self, n_cells, t_end):
+        self.assert_same(GEOM, 0.1, t_end, n_cells)
+
+    @pytest.mark.parametrize("n_cells", [200, 201])
+    def test_jump_one_cell_from_the_wall(self, n_cells):
+        geom = AnnulusGeometry(rho=1.0, R=2.0, r0=1.0 + 1.0 / 200, T=1.0)
+        self.assert_same(geom, 0.1, 1.0, n_cells)
+        self.assert_same(geom, 0.1, 0.0, n_cells)
+
+    @pytest.mark.parametrize("n_cells", [300, 301])
+    def test_fan_reaching_both_walls(self, n_cells):
+        state = godunov_solve(GEOM, 2.0, 1.0, n_cells)
+        # the fan of width 2 lam t = 4 covers the annulus: no cell is left at +-1
+        assert np.all(np.abs(state.averages) < 0.99)
+        self.assert_same(GEOM, 2.0, 1.0, n_cells)
+
+    @pytest.mark.parametrize("value", [1.0, 0.3, -0.7])
+    def test_state_without_jump(self, monkeypatch, value):
+        def constant(geom, lam, n_cells):
+            edges = np.linspace(geom.rho, geom.R, n_cells + 1)
+            return FVState(edges=edges, averages=np.full(n_cells, value), t=0.0, lam=lam)
+
+        monkeypatch.setattr(burgers, "initial_state", constant)
+        self.assert_same(GEOM, 0.1, 0.5, 64)
+        assert np.all(godunov_solve(GEOM, 0.1, 0.5, 64).averages == value)
+
+    def test_one_cell(self):
+        self.assert_same(GEOM, 0.1, 0.5, 1)
+
+
+def test_solve_calls_godunov_step_once_per_step(monkeypatch):
+    step = burgers.godunov_step
+    calls = []
+
+    def counted(state, dt):
+        calls.append(state.averages.size)
+        return step(state, dt)
+
+    monkeypatch.setattr(burgers, "godunov_step", counted)
+    t_end, lam, n_cells = 0.5, 0.1, 1000
+    state = godunov_solve(GEOM, lam, t_end, n_cells)
+    u0 = initial_state(GEOM, lam, n_cells).averages
+    expected = math.ceil(t_end * lam * max(np.max(np.abs(u0)), 1.0) / (CFL * state.h))
+    assert len(calls) == expected
+    # each step updates a window that grows by one cell per side from the two cells at the jump
+    assert calls == [min(2 + 2 * k, n_cells) for k in range(expected)]
 
 
 class TestExactVsFV:

@@ -42,12 +42,12 @@ def read_strict_report(out_dir: Path, command: str) -> dict:
 
 class TestValidateCommand:
     def test_default_config_passes(self, tmp_path):
-        result = run_cli("validate", "--out", str(tmp_path))
-        assert result.returncode == 0
+        _run_without_blas_threads([sys.executable, "-m", "rotsub", "validate", "--out", str(tmp_path)])
         report = read_report(tmp_path, "validate")
         assert report["results"]["ok"] is True
         assert report["provenance"]["version"]
-        assert report["provenance"]["blas_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
+        # importing rotsub before numpy sizes the pool to one thread
+        assert report["provenance"]["blas_threads"] == 1
 
     def test_lambda_violation_exits_one_and_cites_bound(self, tmp_path):
         result = run_cli("validate", "--params.lambda", "0.3", "--out", str(tmp_path))
@@ -270,6 +270,18 @@ def test_blas_runs_on_one_thread_by_default():
     assert _run_without_blas_threads([sys.executable, "-c", code]).strip() == "1"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_blas_threads_is_the_live_pool(tmp_path):
+    # numpy loaded first starts its default pool, though rotsub then sets the variable to 1
+    code = (
+        "import os, sys, numpy, rotsub.cli\n"
+        "assert rotsub.cli.main(['validate', '--out', sys.argv[1]]) == 0\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    threads = _run_without_blas_threads([sys.executable, "-c", code, str(tmp_path)]).splitlines()[-1]
+    assert read_report(tmp_path, "validate")["provenance"]["blas_threads"] == int(threads)
+
+
 def test_caller_blas_threads_kept():
     code = "import os, rotsub; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _run_without_blas_threads([sys.executable, "-c", code], OPENBLAS_NUM_THREADS="2").strip() == "2"
@@ -331,6 +343,18 @@ def test_burgers_solves_each_mesh_once(tmp_path, monkeypatch):
     _, results, _ = cli.cmd_burgers(config)
     assert len(calls) == 3
     assert results["max_principle_ok"] is True
+
+
+def test_inadmissible_burgers_reports_without_solving(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved for inadmissible parameters")
+
+    monkeypatch.setattr(burgers, "godunov_solve", refuse)
+    assert cli.main(["burgers", "--params.lambda", "100", "--out", str(tmp_path)]) == 1
+    results = read_strict_report(tmp_path, "burgers")["results"]
+    assert results["evidence"] == 0 and results["ok"] is False
+    assert [v["name"] for v in results["violations"]] == ["lambda_upper"]
+    assert not (tmp_path / "burgers.csv").exists()
 
 
 class TestVerdictsNeedEvidence:
