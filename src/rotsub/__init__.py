@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .geometry import (
     AnnulusGeometry,
     SubsolutionParams,
-    ValidationReport,
     boundary_distance,
     cartesian_to_polar,
     polar_to_cartesian,
@@ -21,7 +20,6 @@ from .geometry import (
 __all__ = [
     "AnnulusGeometry",
     "SubsolutionParams",
-    "ValidationReport",
     "boundary_distance",
     "cartesian_to_polar",
     "polar_to_cartesian",

@@ -38,7 +38,6 @@ in the test suite (``test_frame_tensor_matches_fd``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +56,8 @@ TWO_PI = 2.0 * math.pi
 ZERO_FLOOR = 1e-14
 # how far a fitted slope may fall below its predicted exponent
 SLOPE_TOLERANCE = 0.15
+# largest |I1 + I2 + I3 + I4 - direct| of a consistent split
+DECOMPOSITION_TOL = 1e-8
 
 
 class SmoothstepCutoff:
@@ -262,35 +263,21 @@ def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCut
     return i1, i2, i3, i4, direct, math.sqrt(l2_sq)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    """Measured decay of the collar integrals against the predicted exponents."""
-
-    eps: np.ndarray
-    I_values: np.ndarray  # shape (n_eps, 4)
-    slopes: tuple  # fitted log-log slopes, None where the integral is identically ~0
-    predicted: tuple  # (2a+1, a, a+1, 1)
-    vacuous: tuple  # True where fewer than two |I_k| exceed ZERO_FLOOR
-    consistency: np.ndarray  # |sum I_k - direct| per eps
-    l2_distances: np.ndarray
-    l2_slope: float
-
-    def slopes_meet_bounds(self) -> bool:
-        """Every non-vacuous slope is at least its exponent minus SLOPE_TOLERANCE."""
-        for slope, target, vac in zip(self.slopes, self.predicted, self.vacuous):
-            if not vac and slope < target - SLOPE_TOLERANCE:
-                return False
-        return True
-
-
 def scaling_study(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff,
-                  eps_grid, geom: AnnulusGeometry) -> ScalingReport:
+                  eps_grid, geom: AnnulusGeometry):
     """Fit the decay rate of each collar integral over a decreasing eps grid.
 
     Needs at least four cutoff widths, strictly decreasing, all small enough
     for the two collars to stay disjoint.  Integrals at or below
     ``ZERO_FLOOR`` at all but one width are flagged vacuous (their upper
-    bound holds trivially).
+    bound holds trivially) and carry no slope.
+
+    Returns ``(columns, results)``: the per-eps table and the JSON results.
+    The verdict ``ok`` needs every non-vacuous slope at least its predicted
+    exponent (2a+1, a, a+1, 1) less ``SLOPE_TOLERANCE``, the four-term split
+    within ``DECOMPOSITION_TOL`` of the direct quadrature, and the cutoff
+    distance decaying at half order at least; ``evidence`` counts the
+    non-vacuous slopes.
     """
     eps_arr = np.asarray(eps_grid, dtype=float)
     if eps_arr.size < 4 or np.any(np.diff(eps_arr) >= 0) or np.any(eps_arr <= 0):
@@ -303,26 +290,36 @@ def scaling_study(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff
         consistency[i] = abs(values[i].sum() - direct)
 
     log_eps = np.log(eps_arr)
+    a = v.holder_alpha
+    predicted = [2.0 * a + 1.0, a, a + 1.0, 1.0]
     slopes = []
-    vacuous = []
     for k in range(4):
         magnitudes = np.abs(values[:, k])
         usable = magnitudes > ZERO_FLOOR
         if np.count_nonzero(usable) < 2:
             slopes.append(None)
-            vacuous.append(True)
         else:
             slopes.append(float(np.polyfit(log_eps[usable], np.log(magnitudes[usable]), 1)[0]))
-            vacuous.append(False)
-    a = v.holder_alpha
+    vacuous = [slope is None for slope in slopes]
     l2_slope = float(np.polyfit(log_eps, np.log(l2), 1)[0])
-    return ScalingReport(
-        eps=eps_arr,
-        I_values=values,
-        slopes=tuple(slopes),
-        predicted=(2.0 * a + 1.0, a, a + 1.0, 1.0),
-        vacuous=tuple(vacuous),
-        consistency=consistency,
-        l2_distances=l2,
-        l2_slope=l2_slope,
-    )
+    max_error = float(np.max(consistency))
+    slopes_ok = all(s is None or s >= p - SLOPE_TOLERANCE for s, p in zip(slopes, predicted))
+    columns = {
+        "eps": eps_arr,
+        **{f"I{k + 1}": values[:, k] for k in range(4)},
+        "decomposition_error": consistency,
+        "l2_distance": l2,
+    }
+    results = {
+        "holder_alpha": a,
+        "eps": eps_arr.tolist(),
+        "I_values": values.tolist(),
+        "slopes": slopes,
+        "predicted_exponents": predicted,
+        "vacuous": vacuous,
+        "max_decomposition_error": max_error,
+        "l2_slope": l2_slope,
+        "evidence": vacuous.count(False),
+        "ok": slopes_ok and max_error < DECOMPOSITION_TOL and l2_slope >= 0.5,
+    }
+    return columns, results

@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, boundary_layer, burgers, subsolution, viscosity, weakform
-from .geometry import AnnulusGeometry, SubsolutionParams, validate_params
+from .geometry import (
+    AnnulusGeometry,
+    SubsolutionParams,
+    epsilon_upper_bound,
+    lambda_upper_bound,
+    validate_params,
+)
 from .subsolution import check_constraint_structure, sample_columns
 
 DEFAULT_CONFIG = {
@@ -203,20 +209,12 @@ def _blas_threads():
     return os.environ.get("OPENBLAS_NUM_THREADS")
 
 
-def _violations(report) -> list:
-    """The violated admissibility bounds as JSON objects."""
-    return [
-        {"name": v.name, "value": v.value, "bound": v.bound, "description": v.description}
-        for v in report.violations
-    ]
-
-
 def _judged_admissible(results: dict, geom, params) -> dict:
     """``results`` with the violated admissibility bounds under ``violations``:
     a check may hold for inadmissible parameters, but it is never a PASS."""
-    report = validate_params(geom, params)
-    results["violations"] = _violations(report)
-    results["ok"] = results["ok"] and report.ok
+    violations = validate_params(geom, params)
+    results["violations"] = violations
+    results["ok"] = results["ok"] and not violations
     return results
 
 
@@ -228,19 +226,21 @@ def _judged_admissible(results: dict, geom, params) -> dict:
 def cmd_validate(config):
     geom = _geometry(config)
     params = _params(config)
-    report = validate_params(geom, params)
+    violations = validate_params(geom, params)
+    epsilon_bound = epsilon_upper_bound(geom, params.lam)
     results = {
         "lambda": params.lam,
         "epsilon": params.epsilon,
-        "lambda_bound": report.lambda_bound,
+        "lambda_bound": lambda_upper_bound(geom),
         # strict JSON has no infinity: with rho^2 lam >= 1 epsilon has no upper bound
-        "epsilon_bound": report.epsilon_bound if math.isfinite(report.epsilon_bound) else None,
-        "epsilon_strict": report.epsilon_strict,
-        "violations": _violations(report),
+        "epsilon_bound": epsilon_bound if math.isfinite(epsilon_bound) else None,
+        # epsilon < 1 makes the energy gap inside the band strict; not a bound
+        "epsilon_strict": params.epsilon < 1.0,
+        "violations": violations,
         "evidence": 2,
-        "ok": report.ok,
+        "ok": not violations,
     }
-    if report.ok and not report.epsilon_strict:
+    if results["ok"] and not results["epsilon_strict"]:
         results["warning"] = "epsilon >= 1: the energy gap inside the band is not strict"
     return None, results, "validate"
 
@@ -253,23 +253,12 @@ def cmd_subsolution(config):
         raise ConfigError(
             f"grids need n_r >= 0, n_theta >= 1 and n_t >= 0, got {n_r}, {n_theta} and {n_t}"
         )
-    check = check_constraint_structure(geom, params, n_r=n_r, n_theta=n_theta, n_t=n_t)
-    results = _judged_admissible({
-        "n_samples": check.n_samples,
-        "n_in_band": check.n_in_band,
-        "strictness_applicable": check.strictness_applicable,
-        # strict JSON has no infinity: the minimum over no band sample is null
-        "min_gap_in_band": check.min_gap_in_band if check.n_in_band else None,
-        "max_gap_formula_dev": check.max_gap_formula_dev,
-        "max_eq_dev_outside": check.max_eq_dev_outside,
-        "first_violation": check.first_violation,
-        "evidence": check.n_samples,
-        "ok": check.ok,
-    }, geom, params)
-    # the table is built only once the check is done, so the two never share memory
+    # radial cell centers, so no sample sits on the domain boundary
     r = geom.rho + (np.arange(n_r) + 0.5) * geom.width / n_r
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     t = np.linspace(0.0, geom.T, n_t)
+    results = _judged_admissible(check_constraint_structure(geom, params, r, theta, t), geom, params)
+    # the table is built only once the check is done, so the two never share memory
     return sample_columns(geom, params, r, theta, t), results, "subsolution constraint check"
 
 
@@ -323,7 +312,7 @@ def cmd_burgers(config):
         raise ConfigError("burgers.n_cells needs at least two mesh sizes")
     if min(meshes) < 2:
         raise ConfigError(f"burgers.n_cells needs at least two cells per mesh, got {meshes}")
-    if not validate_params(geom, params).ok:
+    if validate_params(geom, params):
         # the verdict is FAIL whatever the meshes show, and a fan that covers the
         # annulus costs lam * n_cells^2 cell updates: report without solving
         results = {"t": t_probe, "n_cells": list(meshes), "evidence": 0, "ok": False}
@@ -377,19 +366,14 @@ def cmd_residual(config):
             "residual.order", weakform.linear_system_refinement, geom, params, phi,
             levels=levels, order=order,
         )
-        all_ok = all_ok and study.converged
-        measured += int(np.count_nonzero(study.measured))
-        for cells, res in zip(study.levels, study.residuals):
+        all_ok = all_ok and study["converged"]
+        measured += sum(study["measured"])
+        for k, res in enumerate(study["residuals"]):
             table["field"].append(name)
-            table["cells"].append("x".join(map(str, cells)))
+            # level k of linear_system_refinement has 2^(k+1) cells per axis
+            table["cells"].append("x".join([str(2 * 2**k)] * 3))
             table["residual"].append(res)
-        field_results[name] = {
-            "residuals": study.residuals.tolist(),
-            "orders": study.orders.tolist(),
-            # False where an order compares residuals at the roundoff floor
-            "measured": study.measured.tolist(),
-            "converged": study.converged,
-        }
+        field_results[name] = study
 
     scalar = weakform.ScalarBumpField(
         geom,
@@ -442,36 +426,13 @@ def cmd_viscosity(config):
 
 def cmd_boundary(config):
     geom = _geometry(config)
-    alpha = config["boundary.holder_alpha"]
     chi = boundary_layer.SmoothstepCutoff()
     psi = boundary_layer.SineStreamField(geom)
-    v = _checked("boundary.holder_alpha", boundary_layer.HolderVelocity, alpha)
-    report = _checked(
+    v = _checked("boundary.holder_alpha", boundary_layer.HolderVelocity, config["boundary.holder_alpha"])
+    columns, results = _checked(
         "boundary.eps", boundary_layer.scaling_study, v, psi, chi, config["boundary.eps"], geom,
     )
-    columns = {
-        "eps": report.eps,
-        **{f"I{k + 1}": report.I_values[:, k] for k in range(4)},
-        "decomposition_error": report.consistency,
-        "l2_distance": report.l2_distances,
-    }
-    results = {
-        "holder_alpha": alpha,
-        "eps": report.eps.tolist(),
-        "I_values": report.I_values.tolist(),
-        "slopes": list(report.slopes),
-        "predicted_exponents": list(report.predicted),
-        "vacuous": list(report.vacuous),
-        "max_decomposition_error": float(np.max(report.consistency)),
-        "l2_slope": report.l2_slope,
-        "evidence": report.vacuous.count(False),
-        "ok": bool(
-            report.slopes_meet_bounds()
-            and np.max(report.consistency) < 1e-8
-            and report.l2_slope >= 0.5
-        ),
-    }
-    slopes_txt = ", ".join("vacuous" if s is None else f"{s:.2f}" for s in report.slopes)
+    slopes_txt = ", ".join("vacuous" if s is None else f"{s:.2f}" for s in results["slopes"])
     return columns, results, f"boundary-layer slopes ({slopes_txt})"
 
 
@@ -511,7 +472,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         started = time.perf_counter()
         columns, results, summary = _HANDLERS[args.command](config)
         if columns is not None:

@@ -62,28 +62,6 @@ class SubsolutionParams:
             raise ValueError(f"parameters must be finite, got lam={self.lam}, epsilon={self.epsilon}")
 
 
-@dataclass(frozen=True)
-class BoundViolation:
-    name: str
-    value: float
-    bound: float
-    description: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the admissibility check for one (geometry, parameters) pair."""
-
-    violations: tuple
-    lambda_bound: float
-    epsilon_bound: float
-    epsilon_strict: bool  # True when epsilon < 1 (strict gap inside the band)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def lambda_upper_bound(geom: AnnulusGeometry) -> float:
     """Largest admissible band speed: the band must stay inside the annulus for
     t <= T and 1 - r^2*lam must stay positive on [rho, R]."""
@@ -102,47 +80,29 @@ def epsilon_upper_bound(geom: AnnulusGeometry, lam: float) -> float:
     return 1.0 / denom
 
 
-def validate_params(geom: AnnulusGeometry, params: SubsolutionParams) -> ValidationReport:
-    """Check every admissibility inequality; list each violated bound.
+def validate_params(geom: AnnulusGeometry, params: SubsolutionParams) -> list:
+    """Every violated admissibility bound, as ``{"name", "value", "bound",
+    "description"}`` objects; the list is empty exactly when all bounds hold.
 
-    The report is empty exactly when all bounds hold.  ``epsilon < 1`` is
-    reported via the ``epsilon_strict`` flag and is not a violation.
+    ``epsilon < 1`` (a strict gap inside the band) is not one of the bounds.
     """
     lam_max = lambda_upper_bound(geom)
     eps_max = epsilon_upper_bound(geom, params.lam)
-    violations = []
-    if not params.lam > 0.0:
-        violations.append(
-            BoundViolation("lambda_positive", params.lam, 0.0, "band speed must satisfy lam > 0")
-        )
-    if not params.lam < lam_max:
-        violations.append(
-            BoundViolation(
-                "lambda_upper",
-                params.lam,
-                lam_max,
-                "band speed must satisfy lam < min(1/R^2, (r0-rho)/T, (R-r0)/T)",
-            )
-        )
-    if not params.epsilon >= 0.0:
-        violations.append(
-            BoundViolation("epsilon_nonnegative", params.epsilon, 0.0, "dissipation rate must satisfy epsilon >= 0")
-        )
-    if not params.epsilon < eps_max:
-        violations.append(
-            BoundViolation(
-                "epsilon_upper",
-                params.epsilon,
-                eps_max,
-                "dissipation rate must satisfy epsilon < 1/(1 - rho^2*lam)",
-            )
-        )
-    return ValidationReport(
-        violations=tuple(violations),
-        lambda_bound=lam_max,
-        epsilon_bound=eps_max,
-        epsilon_strict=bool(params.epsilon < 1.0),
+    checks = (
+        ("lambda_positive", params.lam, 0.0, params.lam > 0.0,
+         "band speed must satisfy lam > 0"),
+        ("lambda_upper", params.lam, lam_max, params.lam < lam_max,
+         "band speed must satisfy lam < min(1/R^2, (r0-rho)/T, (R-r0)/T)"),
+        ("epsilon_nonnegative", params.epsilon, 0.0, params.epsilon >= 0.0,
+         "dissipation rate must satisfy epsilon >= 0"),
+        ("epsilon_upper", params.epsilon, eps_max, params.epsilon < eps_max,
+         "dissipation rate must satisfy epsilon < 1/(1 - rho^2*lam)"),
     )
+    return [
+        {"name": name, "value": value, "bound": bound, "description": description}
+        for name, value, bound, holds, description in checks
+        if not holds
+    ]
 
 
 def cartesian_to_polar(x):

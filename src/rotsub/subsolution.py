@@ -26,13 +26,10 @@ zero outside it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .burgers import fan_interval, rarefaction
-from .geometry import AnnulusGeometry, SubsolutionParams, cartesian_to_polar
+from .geometry import AnnulusGeometry, SubsolutionParams
 from .quadrature import _leggauss
 
 # roundoff allowance of the equalities the constraint check tests
@@ -58,13 +55,6 @@ def alpha0(r, geom: AnnulusGeometry):
 def azimuthal(a, theta):
     """The azimuthal field a (sin th, -cos th) as (..., 2) arrays."""
     return np.stack([a * np.sin(theta), -a * np.cos(theta)], axis=-1)
-
-
-def initial_velocity(x, geom: AnnulusGeometry):
-    """The stationary velocity field at t = 0: -+ x_perp / |x|^3 across r0,
-    with x_perp = (x2, -x1)."""
-    r, theta = cartesian_to_polar(x)
-    return azimuthal(alpha0(r, geom), theta)
 
 
 def beta(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
@@ -149,12 +139,6 @@ def qbar(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     return out
 
 
-def vbar(x, t, geom: AnnulusGeometry, params: SubsolutionParams):
-    """Velocity field alpha(r, t) * (sin th, -cos th) at Cartesian points."""
-    r, theta = cartesian_to_polar(x)
-    return azimuthal(alpha(r, t, geom, params), theta)
-
-
 def ubar_entries(r, theta, t, geom: AnnulusGeometry, params: SubsolutionParams):
     """(u11, u12) of the symmetric traceless matrix in polar data; u22 = -u11."""
     b = beta(r, t, geom, params)
@@ -162,19 +146,6 @@ def ubar_entries(r, theta, t, geom: AnnulusGeometry, params: SubsolutionParams):
     c2 = np.cos(2.0 * np.asarray(theta, dtype=float))
     s2 = np.sin(2.0 * np.asarray(theta, dtype=float))
     return b * c2 + g * s2, b * s2 - g * c2
-
-
-def ubar(x, t, geom: AnnulusGeometry, params: SubsolutionParams):
-    """Symmetric traceless matrix field as (..., 2, 2) arrays."""
-    x = np.asarray(x, dtype=float)
-    r, theta = cartesian_to_polar(x)
-    u11, u12 = ubar_entries(r, theta, t, geom, params)
-    out = np.empty(u11.shape + (2, 2))
-    out[..., 0, 0] = u11
-    out[..., 0, 1] = u12
-    out[..., 1, 0] = u12
-    out[..., 1, 1] = -u11
-    return out
 
 
 def ebar(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
@@ -246,51 +217,20 @@ def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t
     }
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Dichotomy check: strict energy gap inside the band, equality outside."""
-
-    n_samples: int
-    n_in_band: int
-    strictness_applicable: bool
-    min_gap_in_band: float
-    max_gap_formula_dev: float
-    max_eq_dev_outside: float
-    first_violation: dict | None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_violation is None
-
-
-def check_constraint_structure(
-    geom: AnnulusGeometry,
-    params: SubsolutionParams,
-    n_r: int = 100,
-    n_theta: int = 64,
-    n_t: int = 10,
-    sub_annulus=None,
-) -> ConstraintReport:
+def check_constraint_structure(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t) -> dict:
     """Verify egen < ebar strictly on band samples and egen = ebar elsewhere.
 
-    Sampling runs on a t x r x theta grid with radial cell centers, so no
-    sample sits exactly on the domain boundary.  ``sub_annulus=(rho', R')``
-    restricts the radial range: the restriction of the construction to a
-    sub-annulus satisfies the same dichotomy, and this exercises it directly.
-    Samples exactly on a band edge count as outside (the gap vanishes there).
-
+    Samples the tensor grid t x r x theta of ``sample_columns``; samples
+    exactly on a band edge count as outside (the gap vanishes there).
     When epsilon >= 1 strictness has no meaning; the check then only verifies
-    equality outside the closed band and flags ``strictness_applicable=False``.
-    A check with no sample, or with no band sample while the gap must be
-    strict, fails with a ``no_evidence`` violation.
+    equality outside the closed band and reports ``strictness_applicable``
+    false.  Returns the JSON results: sample counts, the smallest band gap
+    (None without a band sample), the largest deviations from the gap formula
+    and from equality outside the band, ``first_violation`` (None when the
+    check holds), and the verdict ``ok`` on ``evidence`` samples.  A check with
+    no sample, or with no band sample while the gap must be strict, fails with
+    a ``no_evidence`` violation.
     """
-    ra, rb = sub_annulus if sub_annulus is not None else (geom.rho, geom.R)
-    if not (geom.rho <= ra < rb <= geom.R):
-        raise ValueError(f"sub-annulus ({ra}, {rb}) must sit inside [{geom.rho}, {geom.R}]")
-    r = ra + (np.arange(n_r) + 0.5) * (rb - ra) / n_r
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    t = np.linspace(0.0, geom.T, n_t)
-
     T, Rg, _ = np.meshgrid(t, r, theta, indexing="ij")
     band = in_band(Rg, T, geom, params)
     e_gen = egen(Rg, T, geom, params)
@@ -340,12 +280,15 @@ def check_constraint_structure(
     if first is None and (gap.size == 0 or (strict_applicable and n_in_band == 0)):
         first = {"kind": "no_evidence", "n_samples": int(gap.size), "n_in_band": n_in_band}
 
-    return ConstraintReport(
-        n_samples=int(gap.size),
-        n_in_band=n_in_band,
-        strictness_applicable=strict_applicable,
-        min_gap_in_band=float(gap[band].min()) if np.any(band) else math.inf,
-        max_gap_formula_dev=formula_dev,
-        max_eq_dev_outside=eq_dev,
-        first_violation=first,
-    )
+    return {
+        "n_samples": int(gap.size),
+        "n_in_band": n_in_band,
+        "strictness_applicable": strict_applicable,
+        # strict JSON has no infinity: the minimum over no band sample is null
+        "min_gap_in_band": float(gap[band].min()) if n_in_band else None,
+        "max_gap_formula_dev": formula_dev,
+        "max_eq_dev_outside": eq_dev,
+        "first_violation": first,
+        "evidence": int(gap.size),
+        "ok": first is None,
+    }

@@ -32,7 +32,7 @@ import numpy as np
 
 from .burgers import fan_interval
 from .geometry import AnnulusGeometry, SubsolutionParams, polar_jacobian, polar_vector
-from .quadrature import QuadratureRule, annulus_rule, edges_with_breaks, panel_rule, spacetime_rule
+from .quadrature import annulus_rule, edges_with_breaks, panel_rule, spacetime_rule
 from .subsolution import (
     alpha,
     alpha0,
@@ -341,7 +341,6 @@ def weak_residual_linear_system(geom: AnnulusGeometry, params: SubsolutionParams
 
 
 def weak_residual_divergence(velocity, p, geom: AnnulusGeometry, t: float = 0.0,
-                             quad: QuadratureRule | None = None,
                              cells=(8, 8), order: int = 8) -> float:
     """Quadrature of velocity . grad p over p's support at a fixed time.
 
@@ -349,44 +348,34 @@ def weak_residual_divergence(velocity, p, geom: AnnulusGeometry, t: float = 0.0,
     nodes.  Zero (to quadrature accuracy) for any divergence-free velocity
     tangent to the boundary -- in particular for every azimuthal field.
     """
-    if quad is None:
-        quad = annulus_rule(geom, r_cells=cells[0], theta_cells=cells[1], order=order,
-                            r_span=p.r_support)
+    quad = annulus_rule(geom, r_cells=cells[0], theta_cells=cells[1], order=order,
+                        r_span=p.r_support)
     v = velocity(quad.r, quad.theta, t)
     g = p.gradient(quad.r, quad.theta, t)
     return quad.integrate(v[..., 0] * g[..., 0] + v[..., 1] * g[..., 1])
 
 
-@dataclass(frozen=True)
-class RefinementStudy:
-    """Residual magnitudes per refinement level and observed convergence orders."""
-
-    levels: tuple
-    residuals: np.ndarray
-
-    @property
-    def orders(self):
-        res = np.maximum(np.abs(self.residuals), 1e-300)
-        return np.log2(res[:-1] / res[1:])
-
-    @property
-    def measured(self):
-        """Mask of the orders whose two residuals both sit above the roundoff floor."""
-        res = np.abs(self.residuals)
-        return (res[:-1] > ROUNDOFF_FLOOR) & (res[1:] > ROUNDOFF_FLOOR)
-
-    @property
-    def converged(self) -> bool:
-        """Orders >= 2 wherever the residual is meaningfully above roundoff."""
-        res = np.abs(self.residuals)
-        return bool(np.all(self.orders[self.measured] >= 2.0) and res[-1] <= max(ROUNDOFF_FLOOR, res[0]))
+def refinement_orders(residuals) -> dict:
+    """Observed orders log2(|res_k| / |res_k+1|) between successive refinement
+    levels, whether each is ``measured`` (both residuals above the roundoff
+    floor), and the verdict ``converged``: order >= 2 wherever measured, and the
+    last residual no larger than the first or at the floor."""
+    res = np.abs(np.asarray(residuals, dtype=float))
+    floored = np.maximum(res, 1e-300)
+    orders = np.log2(floored[:-1] / floored[1:])
+    measured = (res[:-1] > ROUNDOFF_FLOOR) & (res[1:] > ROUNDOFF_FLOOR)
+    converged = bool(np.all(orders[measured] >= 2.0) and res[-1] <= max(ROUNDOFF_FLOOR, res[0]))
+    return {"orders": orders.tolist(), "measured": measured.tolist(), "converged": converged}
 
 
-def linear_system_refinement(geom, params, phi, levels: int = 3, order: int = 3) -> RefinementStudy:
-    """The linear-system residual on ``levels`` grids of 2, 4, 8, ... cells per axis."""
-    grids = tuple((2 * 2**k,) * 3 for k in range(levels))
-    residuals = [weak_residual_linear_system(geom, params, phi, cells=cells, order=order) for cells in grids]
-    return RefinementStudy(levels=grids, residuals=np.asarray(residuals))
+def linear_system_refinement(geom, params, phi, levels: int = 3, order: int = 3) -> dict:
+    """The linear-system ``residuals`` on ``levels`` grids of 2, 4, 8, ... cells
+    per axis, with their ``refinement_orders``."""
+    residuals = [
+        weak_residual_linear_system(geom, params, phi, cells=(2 * 2**k,) * 3, order=order)
+        for k in range(levels)
+    ]
+    return {"residuals": residuals, **refinement_orders(residuals)}
 
 
 def _require_away_from_band(geom, params, r, t, h):
@@ -504,25 +493,16 @@ def energy_deficit(geom: AnnulusGeometry, params: SubsolutionParams, times):
     return TWO_PI * params.epsilon * width[:, 0] * integral
 
 
-@dataclass(frozen=True)
-class AttainmentReport:
-    """Decay of the distance between the evolving velocity and its initial datum."""
-
-    times: np.ndarray
-    l2_sq: np.ndarray
-    pairing: np.ndarray
-    l2_sq_order: float
-    pairing_order: float
-
-
 def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
-                            times=None) -> AttainmentReport:
+                            times=None) -> dict:
     """Measure || vbar(., t) - v(., 0) ||_{L^2}^2 and a smooth pairing as t -> 0.
 
     The difference is supported on the band, whose measure is O(t); the
     squared norm therefore decays at first order, and pairings with smooth
-    azimuthal fields decay at least that fast.  Log-log slopes over ``times``
-    quantify both.  The band takes four 8-point panels pinned to r0.
+    azimuthal fields decay at least that fast.  Returns both per time
+    (``l2_sq``, ``pairing``) with their log-log slopes over ``times``
+    (``l2_sq_order``, ``pairing_order``).  The band takes four 8-point panels
+    pinned to r0.
     """
     if times is None:
         times = geom.T * 0.5 ** np.arange(1, 6)
@@ -550,7 +530,7 @@ def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
     pairing_order = float(
         np.polyfit(np.log(times[positive_pairing]), np.log(np.abs(pairing[positive_pairing])), 1)[0]
     )
-    return AttainmentReport(
-        times=times, l2_sq=l2_sq, pairing=pairing,
-        l2_sq_order=l2_order, pairing_order=pairing_order,
-    )
+    return {
+        "times": times.tolist(), "l2_sq": l2_sq.tolist(), "pairing": pairing.tolist(),
+        "l2_sq_order": l2_order, "pairing_order": pairing_order,
+    }

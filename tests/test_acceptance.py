@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import ubar_at, vbar_at
 
 from rotsub import cli
 from rotsub import subsolution as ss
@@ -65,7 +66,7 @@ def test_01_generalized_energy_eigenvalue_oracle():
     t = rng.uniform(0.0, GEOM.T, n)
     x = polar_to_cartesian(r, theta)
     closed = ss.egen(r, t, GEOM, PARAMS)
-    oracle = ss.egen_from_state(ss.vbar(x, t, GEOM, PARAMS), ss.ubar(x, t, GEOM, PARAMS))
+    oracle = ss.egen_from_state(vbar_at(x, t, GEOM, PARAMS), ubar_at(x, t, GEOM, PARAMS))
     diff = float(np.max(np.abs(closed - oracle)))
     elapsed = time.perf_counter() - started
     report(

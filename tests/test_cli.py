@@ -420,9 +420,16 @@ class TestVerdictsNeedEvidence:
     ["subsolution", "--grids.n_r", "inf"],
     ["burgers", "--burgers.t", "1.5"],
     ["viscosity", "--viscosity.dt", "1e-300"],
+    # an output directory that cannot be made: a file stands at its path or above it
+    ["validate", "--out", "{tmp}/file"],
+    ["validate", "--out", "{tmp}/file/sub"],
 ])
 def test_domain_errors_are_config_errors(tmp_path, argv):
-    result = run_cli(*argv, "--out", str(tmp_path))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path)]
+    result = run_cli(*argv)
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
     assert result.stderr.startswith("config error: ")
@@ -462,8 +469,9 @@ _SMALL = {"burgers": ["--burgers.n_cells=2,4"], "viscosity": ["--viscosity.n=8"]
 @example(command="burgers", overrides={"burgers.t": math.inf})
 @example(command="viscosity", overrides={"viscosity.t_probe": math.inf})
 @example(command="viscosity", overrides={"params.lambda": math.nan})
+@example(command="boundary", overrides={"boundary.holder_alpha": 5e-324})
 @given(
-    command=st.sampled_from(["validate", "subsolution", "energy", "burgers", "viscosity"]),
+    command=st.sampled_from(["validate", "subsolution", "energy", "burgers", "viscosity", "boundary"]),
     overrides=st.fixed_dictionaries({}, optional={
         "grids.n_r": _COUNT,
         "grids.n_theta": _COUNT,
@@ -474,6 +482,7 @@ _SMALL = {"burgers": ["--burgers.n_cells=2,4"], "viscosity": ["--viscosity.n=8"]
         "params.epsilon": _REAL,
         "burgers.t": _REAL,
         "viscosity.t_probe": _REAL,
+        "boundary.holder_alpha": _REAL,
     }),
 )
 def test_any_override_ends_in_report_or_config_error(command, overrides):
@@ -489,3 +498,33 @@ def test_any_override_ends_in_report_or_config_error(command, overrides):
         else:
             results = read_strict_report(Path(tmp), command)["results"]
             assert code == (0 if results["ok"] else 1), argv
+
+
+# the results keys of every command at the default configuration: a new
+# report field is added here and in the check that measures it
+VERDICT = {"ok", "evidence"}
+RESULTS_KEYS = {
+    "validate": VERDICT | {"lambda", "epsilon", "lambda_bound", "epsilon_bound", "epsilon_strict",
+                           "violations"},
+    "subsolution": VERDICT | {"n_samples", "n_in_band", "strictness_applicable", "min_gap_in_band",
+                              "max_gap_formula_dev", "max_eq_dev_outside", "first_violation",
+                              "violations"},
+    "energy": VERDICT | {"E0", "times", "energy", "D", "expected_behavior", "violations"},
+    "burgers": VERDICT | {"t", "n_cells", "l1_error", "linf_interior", "l1_ratios",
+                          "max_principle_ok", "violations"},
+    "residual": VERDICT | {"fields", "divergence_residual", "fd_median_ratios", "violations"},
+    "viscosity": VERDICT | {"nu", "distances", "t_probe", "slope"},
+    "boundary": VERDICT | {"holder_alpha", "eps", "I_values", "slopes", "predicted_exponents",
+                           "vacuous", "max_decomposition_error", "l2_slope"},
+}
+
+
+@pytest.mark.parametrize("command", RESULTS_KEYS)
+def test_results_schema(tmp_path, command):
+    assert cli.main([command, "--out", str(tmp_path)]) == 0
+    results = read_strict_report(tmp_path, command)["results"]
+    assert set(results) == RESULTS_KEYS[command]
+    assert results["ok"] is True
+    assert type(results["evidence"]) is int and results["evidence"] > 0
+    for field in results.get("fields", {}).values():
+        assert set(field) == {"residuals", "orders", "measured", "converged"}

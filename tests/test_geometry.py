@@ -47,33 +47,29 @@ class TestValidateParams:
         assert epsilon_upper_bound(GEOM, 0.1) == pytest.approx(1.0 / 0.9, rel=1e-15)
 
     def test_valid_params_pass(self):
-        report = validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=0.5))
-        assert report.ok
-        assert report.epsilon_strict
-        assert report.violations == ()
+        assert validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=0.5)) == []
 
     def test_lambda_too_large(self):
-        report = validate_params(GEOM, SubsolutionParams(lam=0.3, epsilon=0.0))
-        assert not report.ok
-        names = [v.name for v in report.violations]
-        assert names == ["lambda_upper"]
-        assert report.violations[0].bound == 0.25
+        violations = validate_params(GEOM, SubsolutionParams(lam=0.3, epsilon=0.0))
+        assert violations == [{
+            "name": "lambda_upper", "value": 0.3, "bound": 0.25,
+            "description": "band speed must satisfy lam < min(1/R^2, (r0-rho)/T, (R-r0)/T)",
+        }]
 
     def test_lambda_nonpositive(self):
-        report = validate_params(GEOM, SubsolutionParams(lam=0.0, epsilon=0.0))
-        assert "lambda_positive" in [v.name for v in report.violations]
+        violations = validate_params(GEOM, SubsolutionParams(lam=0.0, epsilon=0.0))
+        assert "lambda_positive" in [v["name"] for v in violations]
 
     def test_epsilon_out_of_range(self):
-        report = validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=1.2))
-        assert [v.name for v in report.violations] == ["epsilon_upper"]
-        report = validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=-0.1))
-        assert [v.name for v in report.violations] == ["epsilon_nonnegative"]
+        violations = validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=1.2))
+        assert [v["name"] for v in violations] == ["epsilon_upper"]
+        assert violations[0]["bound"] == epsilon_upper_bound(GEOM, 0.1)
+        violations = validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=-0.1))
+        assert [(v["name"], v["bound"]) for v in violations] == [("epsilon_nonnegative", 0.0)]
 
     def test_epsilon_strict_flag_is_not_a_failure(self):
         # admissible per the bound 1/(1 - rho^2 lam) = 1.111..., yet >= 1
-        report = validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=1.05))
-        assert report.ok
-        assert not report.epsilon_strict
+        assert validate_params(GEOM, SubsolutionParams(lam=0.1, epsilon=1.05)) == []
 
     def test_band_stays_inside_for_valid_params(self):
         lam = 0.999 * lambda_upper_bound(GEOM)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import initial_velocity_at, ubar_at, vbar_at
 
 from rotsub import subsolution as ss
 from rotsub.burgers import fan_interval
@@ -79,28 +80,28 @@ class TestVelocity:
     def test_vbar_matches_initial_field(self):
         # at t = 0 the ansatz reproduces -+ x_perp/|x|^3 across the interface
         x = np.array([1.2, 0.0])
-        v = ss.vbar(x, 0.0, GEOM, PARAMS)
+        v = vbar_at(x, 0.0, GEOM, PARAMS)
         assert np.allclose(v, [0.0, 1.2 / 1.728], atol=1e-14)
         x = np.array([0.0, 2.0])
-        v = ss.vbar(x, 0.0, GEOM, PARAMS)
+        v = vbar_at(x, 0.0, GEOM, PARAMS)
         assert np.allclose(v, [0.25, 0.0], atol=1e-14)
 
     def test_vbar_equals_initial_velocity_everywhere(self):
         rng = np.random.default_rng(2)
         x = polar_to_cartesian(rng.uniform(1.0, 2.0, 500), rng.uniform(0, 2 * math.pi, 500))
-        assert np.max(np.abs(ss.vbar(x, 0.0, GEOM, PARAMS) - ss.initial_velocity(x, GEOM))) < 1e-14
+        assert np.max(np.abs(vbar_at(x, 0.0, GEOM, PARAMS) - initial_velocity_at(x, GEOM))) < 1e-14
 
     def test_vanishes_on_interface_circle(self):
         for th in (0.0, 1.0, 4.0):
             x = polar_to_cartesian(1.5, th)
-            assert np.allclose(ss.vbar(x, 0.7, GEOM, PARAMS), 0.0)
+            assert np.allclose(vbar_at(x, 0.7, GEOM, PARAMS), 0.0)
 
     def test_outer_product_eigenvalues(self):
         # vbar (x) vbar has eigenvalues {0, alpha^2}
         rng = np.random.default_rng(3)
         x = polar_to_cartesian(rng.uniform(1.0, 2.0, 300), rng.uniform(0, 2 * math.pi, 300))
         t = rng.uniform(0.0, 1.0, 300)
-        v = ss.vbar(x, t, GEOM, PARAMS)
+        v = vbar_at(x, t, GEOM, PARAMS)
         outer = v[..., :, None] * v[..., None, :]
         eigs = np.linalg.eigvalsh(outer)
         r = np.hypot(x[..., 0], x[..., 1])
@@ -113,7 +114,7 @@ class TestDeviatoricPart:
     def test_theta_zero_form(self):
         # at theta = 0 the matrix is [[beta, -gamma], [-gamma, -beta]]
         r, t = 1.45, 0.8
-        u = ss.ubar(np.array([r, 0.0]), t, GEOM, PARAMS)
+        u = ubar_at(np.array([r, 0.0]), t, GEOM, PARAMS)
         b = ss.beta(r, t, GEOM, PARAMS)
         g = ss.gamma(r, t, GEOM, PARAMS)
         assert np.allclose(u, [[b, -g], [-g, -b]], atol=1e-15)
@@ -121,7 +122,7 @@ class TestDeviatoricPart:
     def test_symmetric_traceless(self):
         rng = np.random.default_rng(4)
         x = polar_to_cartesian(rng.uniform(1.0, 2.0, 300), rng.uniform(0, 2 * math.pi, 300))
-        u = ss.ubar(x, 0.6, GEOM, PARAMS)
+        u = ubar_at(x, 0.6, GEOM, PARAMS)
         assert np.array_equal(u[..., 0, 1], u[..., 1, 0])
         assert np.array_equal(u[..., 0, 0], -u[..., 1, 1])
 
@@ -134,8 +135,8 @@ class TestDeviatoricPart:
             phi = rng.uniform(0, 2 * math.pi)
             t = rng.uniform(0, 1)
             rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-            u1 = ss.ubar(polar_to_cartesian(r, th + phi), t, GEOM, PARAMS)
-            u0 = ss.ubar(polar_to_cartesian(r, th), t, GEOM, PARAMS)
+            u1 = ubar_at(polar_to_cartesian(r, th + phi), t, GEOM, PARAMS)
+            u0 = ubar_at(polar_to_cartesian(r, th), t, GEOM, PARAMS)
             assert np.max(np.abs(u1 - rot @ u0 @ rot.T)) < 1e-14
 
     def test_diagonal_in_rotated_frame_outside_fan(self):
@@ -232,7 +233,7 @@ class TestEnergyDensities:
         t = rng.uniform(0.0, 1.0, n)
         x = polar_to_cartesian(r, th)
         closed = ss.egen(r, t, GEOM, PARAMS)
-        oracle = ss.egen_from_state(ss.vbar(x, t, GEOM, PARAMS), ss.ubar(x, t, GEOM, PARAMS))
+        oracle = ss.egen_from_state(vbar_at(x, t, GEOM, PARAMS), ubar_at(x, t, GEOM, PARAMS))
         assert np.max(np.abs(closed - oracle)) < 1e-12
 
     def test_gap_formula_exact(self):
@@ -276,41 +277,54 @@ class TestTurbulentRegion:
         assert not ss.in_band(1.4, 0.5, GEOM, PARAMS)
 
 
+def grid(n_r, n_theta, n_t, ra=GEOM.rho, rb=GEOM.R):
+    """Radial cell centers on (ra, rb), equally spaced angles, times over [0, T]."""
+    r = ra + (np.arange(n_r) + 0.5) * (rb - ra) / n_r
+    return r, np.arange(n_theta) * (2.0 * math.pi / n_theta), np.linspace(0.0, GEOM.T, n_t)
+
+
 class TestConstraintStructure:
     def test_dichotomy_default(self):
-        report = ss.check_constraint_structure(GEOM, PARAMS, n_r=100, n_theta=16, n_t=10)
-        assert report.ok
-        assert report.strictness_applicable
-        assert report.n_in_band > 0
-        assert report.min_gap_in_band > 0.0
-        assert report.max_gap_formula_dev < 1e-13
-        assert report.max_eq_dev_outside < 1e-13
+        results = ss.check_constraint_structure(GEOM, PARAMS, *grid(100, 16, 10))
+        assert results["ok"] is True
+        assert results["first_violation"] is None
+        assert results["strictness_applicable"]
+        assert results["n_in_band"] > 0
+        assert results["evidence"] == results["n_samples"] == 16_000
+        assert results["min_gap_in_band"] > 0.0
+        assert results["max_gap_formula_dev"] < 1e-13
+        assert results["max_eq_dev_outside"] < 1e-13
 
     def test_t0_all_equality(self):
         # equality holds on every t = 0 sample, but with no band sample the
         # strict gap has no evidence, so the check cannot pass
-        report = ss.check_constraint_structure(GEOM, PARAMS, n_r=50, n_theta=8, n_t=1)
-        assert report.n_in_band == 0
-        assert report.max_eq_dev_outside == 0
-        assert report.first_violation["kind"] == "no_evidence"
-        assert not report.ok
+        results = ss.check_constraint_structure(GEOM, PARAMS, *grid(50, 8, 1))
+        assert results["n_in_band"] == 0
+        assert results["min_gap_in_band"] is None
+        assert results["max_eq_dev_outside"] == 0
+        assert results["first_violation"]["kind"] == "no_evidence"
+        assert results["ok"] is False
 
     def test_sub_annulus_restriction(self):
-        report = ss.check_constraint_structure(
-            GEOM, PARAMS, n_r=60, n_theta=8, n_t=6, sub_annulus=(1.0, 1.5)
-        )
-        assert report.ok
-        assert report.n_in_band > 0  # the band protrudes into (1.4, 1.5)
-
-    def test_sub_annulus_validation(self):
-        with pytest.raises(ValueError):
-            ss.check_constraint_structure(GEOM, PARAMS, sub_annulus=(0.5, 1.5))
+        # the restriction of the construction to a sub-annulus satisfies the same dichotomy
+        results = ss.check_constraint_structure(GEOM, PARAMS, *grid(60, 8, 6, rb=1.5))
+        assert results["ok"] is True
+        assert results["n_in_band"] > 0  # the band protrudes into (1.4, 1.5)
 
     def test_epsilon_at_one_flagged(self):
         p1 = SubsolutionParams(lam=0.1, epsilon=1.0)
-        report = ss.check_constraint_structure(GEOM, p1, n_r=40, n_theta=4, n_t=5)
-        assert not report.strictness_applicable
-        assert report.ok  # equality holds everywhere when epsilon = 1
+        results = ss.check_constraint_structure(GEOM, p1, *grid(40, 4, 5))
+        assert results["strictness_applicable"] is False
+        assert results["ok"] is True  # equality holds everywhere when epsilon = 1
+
+    def test_strictness_failure_names_a_band_sample(self, monkeypatch):
+        # a closed-form egen equal to ebar closes the gap the check must see open
+        monkeypatch.setattr(ss, "egen", ss.ebar)
+        results = ss.check_constraint_structure(GEOM, PARAMS, *grid(40, 4, 5))
+        first = results["first_violation"]
+        assert results["ok"] is False and first["kind"] == "strictness"
+        assert ss.in_band(first["r"], first["t"], GEOM, PARAMS)
+        assert first["egen"] == first["ebar"]
 
     def test_sample_columns_contract(self):
         cols = ss.sample_columns(GEOM, PARAMS, np.array([1.3, 1.5]), np.array([0.0]), np.array([0.0, 0.5]))
@@ -332,7 +346,7 @@ class TestConstraintStructure:
         x = polar_to_cartesian(Rg, TH)
         r_back, th_back = cartesian_to_polar(x)
         assert np.array_equal(r_back, Rg) and np.array_equal(th_back, TH)  # exact round trip
-        v = ss.vbar(x, T, GEOM, PARAMS)
+        v = vbar_at(x, T, GEOM, PARAMS)
         assert cols["vbar_x"].tobytes() == v[..., 0].ravel().tobytes()
         assert cols["vbar_y"].tobytes() == v[..., 1].ravel().tobytes()
         assert cols["beta"].tobytes() == ss.beta(Rg, T, GEOM, PARAMS).ravel().tobytes()
