@@ -160,7 +160,11 @@ def _format_column(column) -> list:
     if column.dtype == bool:
         return ["true" if v else "false" for v in values]
     if column.dtype.kind == "f":
-        return list(map(repr, values))
+        # repr depends only on a float's bits, so each distinct pattern is
+        # formatted once; keying on bits keeps -0.0 apart from 0.0 and finds nan
+        bits = column.view(f"u{column.itemsize}").tolist()
+        texts = {b: repr(v) for b, v in dict(zip(bits, values)).items()}
+        return list(map(texts.__getitem__, bits))
     return list(map(str, values))
 
 
@@ -168,7 +172,8 @@ def write_csv(path: Path, columns: dict):
     """Write equal-length columns (header -> values) as a CSV file.
 
     Cells are formatted a column at a time over blocks of ``CSV_BLOCK_ROWS``
-    rows, which bounds the memory held by formatted text.
+    rows, which bounds the memory held by formatted text; within a block each
+    distinct float is formatted once.
     """
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = len(arrays[0]) if arrays else 0
@@ -258,6 +263,8 @@ def cmd_subsolution(config):
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     t = np.linspace(0.0, geom.T, n_t)
     results = _judged_admissible(check_constraint_structure(geom, params, r, theta, t), geom, params)
+    # admissibility needs vbar(t) -> v0 as t -> 0: reported, not judged
+    results["initial_data_attainment"] = weakform.initial_data_attainment(geom, params)
     # the table is built only once the check is done, so the two never share memory
     return sample_columns(geom, params, r, theta, t), results, "subsolution constraint check"
 
@@ -408,7 +415,7 @@ def cmd_residual(config):
 def cmd_viscosity(config):
     geom = _geometry(config)
     nu = config["viscosity.nu"]
-    distances, slope = _checked(
+    distances, slope, drifts = _checked(
         "viscosity settings", viscosity.vanishing_viscosity_study, geom, nu,
         config["viscosity.t_probe"], config["viscosity.n"], config["viscosity.dt"],
     )
@@ -417,6 +424,8 @@ def cmd_viscosity(config):
         "distances": distances.tolist(),
         "t_probe": config["viscosity.t_probe"],
         "slope": slope,
+        # |E(t) + dissipated - E(0)| of each solve: Crank-Nicolson health, not judged
+        "energy_drift": drifts,
         "evidence": len(nu),
         "ok": bool(np.all(np.diff(distances) < 0)),
     }

@@ -20,7 +20,7 @@ with E = pi * sum_i r_i a_i^2 h and G the discrete gradient energy.
 
 Everything runs on plain arrays: ``solve_parabolic`` returns its stepper
 (grid, profile, time, energy drift) and ``vanishing_viscosity_study`` the
-distances with their fitted slope.
+distances with their fitted slope and each solve's energy drift.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float, n:
 
     Requires at least three strictly decreasing viscosities, a positive
     finite probe time, and a time step that takes from one to ``MAX_STEPS``
-    steps to it.  Returns the distances and their fitted log-log slope
-    in nu.  The slope is reported as an observation; the substantive check is
-    that the distances decrease strictly, i.e. the viscous profiles converge
-    back to the stationary one.
+    steps to it.  Returns the distances, their fitted log-log slope in nu,
+    and each solve's ``energy_drift``.  The slope and the drifts are reported
+    as observations; the substantive check is that the distances decrease
+    strictly, i.e. the viscous profiles converge back to the stationary one.
     """
     nu_arr = np.asarray(nu_list, dtype=float)
     if nu_arr.size < 3 or np.any(np.diff(nu_arr) >= 0) or np.any(nu_arr <= 0):
@@ -196,9 +196,11 @@ def vanishing_viscosity_study(geom: AnnulusGeometry, nu_list, t_probe: float, n:
     if dt > 0.0 and not 0.5 < t_probe / dt < MAX_STEPS + 0.5:
         raise ValueError(f"time step {dt} takes no step or more than {MAX_STEPS} steps to the probe time {t_probe}")
     distances = []
+    drifts = []
     for nu in nu_arr:
         solver = solve_parabolic(geom, float(nu), t_probe, n, dt)
         distances.append(l2_rdr_norm(solver.grid, solver.u_full - initial_profile(geom, solver.grid)))
+        drifts.append(solver.energy_drift)
     distances = np.asarray(distances)
     slope = float(np.polyfit(np.log(nu_arr), np.log(distances), 1)[0])
-    return distances, slope
+    return distances, slope, drifts

@@ -501,8 +501,8 @@ def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
     squared norm therefore decays at first order, and pairings with smooth
     azimuthal fields decay at least that fast.  Returns both per time
     (``l2_sq``, ``pairing``) with their log-log slopes over ``times``
-    (``l2_sq_order``, ``pairing_order``).  The band takes four 8-point panels
-    pinned to r0.
+    (``l2_sq_order``, ``pairing_order``; None where fewer than two times
+    carry a nonzero value).  The band takes four 8-point panels pinned to r0.
     """
     if times is None:
         times = geom.T * 0.5 ** np.arange(1, 6)
@@ -514,6 +514,8 @@ def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
     pairing = np.empty_like(times)
     for i, tv in enumerate(times):
         left, right = fan_interval(tv, geom.r0, params.lam)
+        # the norm is over the annulus, which an inadmissible lam overruns
+        left, right = max(left, geom.rho), min(right, geom.R)
         if not right > left:
             l2_sq[i] = 0.0
             pairing[i] = 0.0
@@ -524,13 +526,16 @@ def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
         l2_sq[i] = TWO_PI * float(np.dot(weights, diff**2 * nodes))
         # azimuthal pairing field b(r) (sin th, -cos th): the theta integral is 2 pi
         pairing[i] = TWO_PI * float(np.dot(weights, diff * pairing_bump.value(nodes) * nodes))
-    positive = (times > 0) & (l2_sq > 0)
-    l2_order = float(np.polyfit(np.log(times[positive]), np.log(l2_sq[positive]), 1)[0])
-    positive_pairing = (times > 0) & (np.abs(pairing) > 0)
-    pairing_order = float(
-        np.polyfit(np.log(times[positive_pairing]), np.log(np.abs(pairing[positive_pairing])), 1)[0]
-    )
     return {
         "times": times.tolist(), "l2_sq": l2_sq.tolist(), "pairing": pairing.tolist(),
-        "l2_sq_order": l2_order, "pairing_order": pairing_order,
+        "l2_sq_order": _decay_order(times, l2_sq), "pairing_order": _decay_order(times, pairing),
     }
+
+
+def _decay_order(times, values):
+    """Log-log slope of ``|values|`` over the positive times where it is
+    nonzero; None below two such times, as for lam <= 0, which opens no band."""
+    keep = (times > 0) & (np.abs(values) > 0)
+    if np.count_nonzero(keep) < 2:
+        return None
+    return float(np.polyfit(np.log(times[keep]), np.log(np.abs(values[keep])), 1)[0])

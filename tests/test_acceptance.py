@@ -166,7 +166,7 @@ def test_06_godunov_oracle_convergence(runs):
 
 def test_07_viscosity_limit_and_mms():
     started = time.perf_counter()
-    distances, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1600, 2.5e-3)
+    distances, _, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1600, 2.5e-3)
 
     nu = 0.05
     k = math.pi / GEOM.width

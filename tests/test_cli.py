@@ -224,6 +224,10 @@ class TestNumericalCommands:
         report = read_report(tmp_path, "viscosity")
         distances = report["results"]["distances"]
         assert all(b < a for a, b in zip(distances, distances[1:]))
+        # the Crank-Nicolson energy balance holds to roundoff, one drift per viscosity
+        drifts = report["results"]["energy_drift"]
+        assert len(drifts) == len(distances)
+        assert all(0.0 <= d < 1e-10 for d in drifts)
 
     def test_boundary(self, tmp_path):
         result = run_cli("boundary", "--out", str(tmp_path))
@@ -330,6 +334,41 @@ def test_write_csv_matches_per_cell_writer(tmp_path, n_rows):
     assert (tmp_path / "block.csv").read_bytes() == expected.encode("utf-8")
 
 
+def _assert_matches_per_cell_writer(path, columns):
+    cli.write_csv(path, columns)
+    expected = ",".join(columns) + "\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns.values())
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_write_csv_repeated_floats_keep_their_bits(tmp_path):
+    # each distinct bit pattern is formatted once per block: values equal as
+    # floats (0.0, -0.0) or unequal to themselves (nan) must keep their own text
+    quiet_nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, -0.0, *quiet_nans, math.inf, -math.inf, 5e-324, 0.1])
+    n_rows = cli.CSV_BLOCK_ROWS + 300
+    rng = np.random.default_rng(0)
+    heavy = specials[rng.integers(0, specials.size, n_rows)]
+    # a run of one value across the block boundary
+    heavy[cli.CSV_BLOCK_ROWS - 100:cli.CSV_BLOCK_ROWS + 100] = 1.0 / 3.0
+    pairs = np.stack([heavy, heavy[::-1]], axis=1)
+    columns = {
+        "heavy": heavy,
+        "strided": pairs[:, 0],
+        "strided_reversed": pairs[:, 1],
+        "single": heavy.astype(np.float32),
+    }
+    assert not columns["strided"].flags.contiguous
+    _assert_matches_per_cell_writer(tmp_path / "heavy.csv", columns)
+
+
+def test_write_csv_subsolution_table_matches_per_cell_writer(tmp_path):
+    # sample_columns at the default grid: gamma holds both 0.0 and -0.0
+    columns, _, _ = cli.cmd_subsolution(cli.load_config())
+    _assert_matches_per_cell_writer(tmp_path / "subsolution.csv", columns)
+
+
 def test_burgers_solves_each_mesh_once(tmp_path, monkeypatch):
     solve = burgers.godunov_solve
     calls = []
@@ -373,6 +412,16 @@ class TestVerdictsNeedEvidence:
         assert results["n_in_band"] == 0
         assert results["min_gap_in_band"] is None
         assert results["first_violation"]["kind"] == "no_evidence"
+        assert results["ok"] is False
+
+    @pytest.mark.parametrize("lam", ["0", "-0.1"])
+    def test_subsolution_without_band_has_no_attainment_order(self, tmp_path, lam):
+        # lam <= 0 opens no band: nothing to fit an order of attainment to
+        assert cli.main(["subsolution", "--params.lambda", lam, "--out", str(tmp_path)]) == 1
+        results = read_strict_report(tmp_path, "subsolution")["results"]
+        attainment = results["initial_data_attainment"]
+        assert attainment["l2_sq_order"] is None and attainment["pairing_order"] is None
+        assert attainment["l2_sq"] == [0.0] * len(attainment["times"])
         assert results["ok"] is False
 
     def test_residual_with_no_measured_order_fails(self, tmp_path, capsys):
@@ -469,6 +518,7 @@ _SMALL = {"burgers": ["--burgers.n_cells=2,4"], "viscosity": ["--viscosity.n=8"]
 @example(command="burgers", overrides={"burgers.t": math.inf})
 @example(command="viscosity", overrides={"viscosity.t_probe": math.inf})
 @example(command="viscosity", overrides={"params.lambda": math.nan})
+@example(command="subsolution", overrides={"params.lambda": 0.0})
 @example(command="boundary", overrides={"boundary.holder_alpha": 5e-324})
 @given(
     command=st.sampled_from(["validate", "subsolution", "energy", "burgers", "viscosity", "boundary"]),
@@ -508,12 +558,12 @@ RESULTS_KEYS = {
                            "violations"},
     "subsolution": VERDICT | {"n_samples", "n_in_band", "strictness_applicable", "min_gap_in_band",
                               "max_gap_formula_dev", "max_eq_dev_outside", "first_violation",
-                              "violations"},
+                              "violations", "initial_data_attainment"},
     "energy": VERDICT | {"E0", "times", "energy", "D", "expected_behavior", "violations"},
     "burgers": VERDICT | {"t", "n_cells", "l1_error", "linf_interior", "l1_ratios",
                           "max_principle_ok", "violations"},
     "residual": VERDICT | {"fields", "divergence_residual", "fd_median_ratios", "violations"},
-    "viscosity": VERDICT | {"nu", "distances", "t_probe", "slope"},
+    "viscosity": VERDICT | {"nu", "distances", "t_probe", "slope", "energy_drift"},
     "boundary": VERDICT | {"holder_alpha", "eps", "I_values", "slopes", "predicted_exponents",
                            "vacuous", "max_decomposition_error", "l2_slope"},
 }

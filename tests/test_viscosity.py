@@ -111,18 +111,18 @@ class TestManufacturedSolution:
 
 class TestVanishingViscosity:
     def test_distances_strictly_decreasing(self):
-        distances, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 800, 5e-3)
+        distances, _, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 800, 5e-3)
         assert np.all(np.diff(distances) < 0)
         assert distances[0] > distances[-1] > 0.0
 
     def test_observed_slope_near_quarter(self):
-        _, slope = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1600, 2.5e-3)
+        _, slope, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1600, 2.5e-3)
         # observed scaling of the layer mass; reported, not a sharp claim
         assert 0.15 <= slope <= 0.35
 
     def test_grid_independence(self):
-        coarse, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1200, 4e-3)
-        fine, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 2400, 4e-3)
+        coarse, _, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 1200, 4e-3)
+        fine, _, _ = vc.vanishing_viscosity_study(GEOM, [1e-2, 1e-3, 1e-4], 1.0, 2400, 4e-3)
         rel = np.abs(fine - coarse) / fine
         assert np.max(rel) < 0.01
 

@@ -340,3 +340,10 @@ class TestInitialDataAttainment:
         assert report["l2_sq"][0] == 0.0
         assert report["pairing"][0] == 0.0
         assert json.loads(json.dumps(report)) == report
+
+    def test_band_past_both_walls_is_cut_to_the_annulus(self):
+        # an inadmissible lam whose fan covers the annulus: vbar ~ 0 there, so
+        # ||vbar - v0||^2 = ||v0||^2 = E0 at every time, and nothing decays
+        report = wf.initial_data_attainment(GEOM, SubsolutionParams(lam=1e308, epsilon=0.5))
+        assert report["l2_sq"] == pytest.approx([wf.initial_energy(GEOM)] * 5, rel=1e-12)
+        assert abs(report["l2_sq_order"]) < 1e-12
