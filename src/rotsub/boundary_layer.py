@@ -215,7 +215,8 @@ class CutoffField:
 
 
 def _collar_nodes(geom: AnnulusGeometry, eps: float, sign: float):
-    """Quadrature on one collar {0 < d < 2 eps}: weights include the Jacobian r.
+    """Quadrature on one collar {0 < d < 2 eps}: a distance column d (M, 1),
+    an angle row theta (K,) and weights (M, K) that include the Jacobian r.
 
     Twelve Gauss points per panel.  The radial panels are graded toward d = 0
     (the synthetic velocity has a d^a factor there) and pinned to d = eps
@@ -224,9 +225,9 @@ def _collar_nodes(geom: AnnulusGeometry, eps: float, sign: float):
     d_edges = eps * np.array([0.0, 1.0 / 16.0, 0.25, 0.5, 1.0, 1.5, 2.0])
     dn, dw = panel_rule(d_edges, 12)
     thn, thw = panel_rule(np.linspace(0.0, TWO_PI, 9), 12)
-    D, TH = np.meshgrid(dn, thn, indexing="ij")
-    r = geom.rho + D if sign > 0 else geom.R - D
-    return D, TH, np.outer(dw, thw) * r
+    d = dn[:, None]
+    r = geom.rho + d if sign > 0 else geom.R - d
+    return d, thn, np.outer(dw, thw) * r
 
 
 def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCutoff,
@@ -242,10 +243,10 @@ def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCut
     field = CutoffField(psi, chi, eps, geom)
     i1 = i2 = i3 = i4 = direct = l2_sq = 0.0
     for sign in (1.0, -1.0):
-        D, TH, W = _collar_nodes(geom, field.eps, sign)
-        v_nu = v.normal_component(D, TH)
-        v_tau = v.tangential_component(D, TH)
-        (t_nn, t_nt, t_tn, t_tt), (diff_r, diff_th) = field.frame_tensor(D, TH, sign)
+        d, th, W = _collar_nodes(geom, field.eps, sign)
+        v_nu = v.normal_component(d, th)
+        v_tau = v.tangential_component(d, th)
+        (t_nn, t_nt, t_tn, t_tt), (diff_r, diff_th) = field.frame_tensor(d, th, sign)
         i1 += float(np.sum(W * v_nu * t_nn * v_nu))
         i2 += float(np.sum(W * v_nu * t_nt * v_tau))
         i3 += float(np.sum(W * v_tau * t_tn * v_nu))
@@ -256,8 +257,8 @@ def collar_integrals(v: HolderVelocity, psi: SineStreamField, chi: SmoothstepCut
         # Cartesian gradient (T_ab differentiates along a, polar_jacobian's t_ab
         # along b).  This checks the frame bookkeeping of the split; the tensor is
         # checked against finite differences in test_frame_tensor_matches_fd.
-        grad = polar_jacobian(t_nn, t_tn, t_nt, t_tt, TH)
-        v_cart = sign * polar_vector(v_nu, v_tau, TH)
+        grad = polar_jacobian(t_nn, t_tn, t_nt, t_tt, th)
+        v_cart = sign * polar_vector(v_nu, v_tau, th)
         contraction = np.einsum("...i,...ij,...j->...", v_cart, grad, v_cart)
         direct += float(np.sum(W * contraction))
     return i1, i2, i3, i4, direct, math.sqrt(l2_sq)

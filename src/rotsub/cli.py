@@ -4,7 +4,8 @@ Subcommands: validate | subsolution | energy | burgers | residual | viscosity
 | boundary.  Configuration is a JSON object with flat dotted keys (see
 ``DEFAULT_CONFIG``); every key can be overridden on the command line by a flag
 of the same name.  Exit codes: 0 all checks pass, 1 a check failed or
-measured nothing (``evidence`` 0), 2 for usage or configuration errors.
+measured nothing (``evidence`` 0), 2 for usage or configuration errors,
+among them a configuration whose numbers overflow double precision.
 """
 
 from __future__ import annotations
@@ -486,7 +487,13 @@ def main(argv=None) -> int:
         except OSError as exc:  # a file in the way, or no permission
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         started = time.perf_counter()
-        columns, results, summary = _HANDLERS[args.command](config)
+        try:
+            # a report of numbers past double precision would hold NaN, which
+            # strict JSON does not have
+            with np.errstate(over="raise"):
+                columns, results, summary = _HANDLERS[args.command](config)
+        except FloatingPointError as exc:
+            raise ConfigError(f"the configuration overflows double precision ({exc})") from exc
         if columns is not None:
             write_csv(out_dir / f"{args.command}.csv", columns)
     except ConfigError as exc:

@@ -64,34 +64,27 @@ def edges_with_breaks(a: float, b: float, cells: int, breaks=()):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Flattened tensor-product rule; node columns are (r, theta) or (r, theta, t).
+    """Tensor-product rule in broadcast form: radii ``r`` as an (M, 1) column,
+    angles ``theta`` as a (K,) row, times ``t`` as an (M, 1) column beside the
+    radii (None on an annulus) and ``weights`` (M, K).
 
-    ``weights`` already include the polar Jacobian r.
+    A radially symmetric field evaluated on (r, t) is taken once per radial
+    node and broadcast over theta.  ``weights`` already include the polar
+    Jacobian r.
     """
 
-    nodes: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+    t: np.ndarray | None
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.nodes.shape[0] != self.weights.shape[0]:
-            raise ValueError("nodes and weights must have matching lengths")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
 
-    @property
-    def r(self):
-        return self.nodes[:, 0]
-
-    @property
-    def theta(self):
-        return self.nodes[:, 1]
-
-    @property
-    def t(self):
-        return self.nodes[:, 2]
-
     def integrate(self, values):
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
+        values = np.broadcast_to(np.asarray(values, dtype=float), self.weights.shape)
+        return float(np.dot(self.weights.ravel(), values.ravel()))
 
 
 def annulus_rule(
@@ -106,19 +99,18 @@ def annulus_rule(
     ra, rb = r_span if r_span is not None else (geom.rho, geom.R)
     rn, rw = panel_rule(edges_with_breaks(ra, rb, r_cells, r_breaks), order)
     tn, tw = panel_rule(edges_with_breaks(0.0, TWO_PI, theta_cells), order)
-    R, TH = np.meshgrid(rn, tn, indexing="ij")
-    W = np.outer(rw, tw) * R
-    nodes = np.stack([R.ravel(), TH.ravel()], axis=-1)
-    return QuadratureRule(nodes=nodes, weights=W.ravel())
+    r = rn[:, None]
+    return QuadratureRule(r=r, theta=tn, t=None, weights=np.outer(rw, tw) * r)
 
 
 def spacetime_rule(t_span, r_span, r_breaks_at, cells=(4, 4, 4), order: int = 8,
                    t_breaks=()) -> QuadratureRule:
-    """Space-time rule over r_span x [0, 2 pi) x t_span with node columns (r, theta, t).
+    """Space-time rule over r_span x [0, 2 pi) x t_span.
 
     ``r_breaks_at`` maps a time to break radii (clipped to the radial span);
     the radial panels are rebuilt around them for every t node, which keeps
-    panels aligned with moving kink curves such as the band edges.
+    panels aligned with moving kink curves such as the band edges.  So the
+    (r, t) nodes form one ragged column: each time node's radii in turn.
     ``t_breaks`` forces panel edges at times where those curves cross the
     radial span boundary.
     """
@@ -128,17 +120,13 @@ def spacetime_rule(t_span, r_span, r_breaks_at, cells=(4, 4, 4), order: int = 8,
     tn, tw = panel_rule(edges_with_breaks(ta, tb, t_cells, t_breaks), order)
     an, aw = panel_rule(edges_with_breaks(0.0, TWO_PI, theta_cells), order)
 
-    blocks_nodes = []
-    blocks_weights = []
+    radii = []
+    weights = []
     for t_node, t_weight in zip(tn, tw):
         rn, rw = panel_rule(edges_with_breaks(ra, rb, r_cells, r_breaks_at(t_node)), order)
-        R, TH = np.meshgrid(rn, an, indexing="ij")
-        W = np.outer(rw, aw) * R * t_weight
-        blocks_nodes.append(
-            np.stack([R.ravel(), TH.ravel(), np.full(R.size, t_node)], axis=-1)
-        )
-        blocks_weights.append(W.ravel())
-    return QuadratureRule(
-        nodes=np.concatenate(blocks_nodes, axis=0),
-        weights=np.concatenate(blocks_weights),
-    )
+        r = rn[:, None]
+        radii.append(r)
+        weights.append(np.outer(rw, aw) * r * t_weight)
+    r = np.concatenate(radii)
+    t = np.repeat(tn, [block.size for block in radii])[:, None]
+    return QuadratureRule(r=r, theta=an, t=t, weights=np.concatenate(weights))

@@ -186,42 +186,35 @@ def energy_gap(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
 def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t):
     """Flattened field table over the tensor grid t x r x theta (t outermost).
 
-    The radially symmetric qbar is evaluated on the t x r grid only.  Keys
-    match the CSV column contract, in order:
+    The radially symmetric fields are evaluated once per (r, t) node, and
+    broadcast over theta.  Keys match the CSV column contract, in order:
     r, theta, t, f, alpha, beta, gamma, qbar, vbar_x, vbar_y, u11, u12,
     egen, ebar, in_U.
     """
-    r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    T, Rg, TH = np.meshgrid(t, r, theta, indexing="ij")
-    a = alpha(Rg, T, geom, params)
-    v = azimuthal(a.ravel(), TH.ravel())
-    u11, u12 = ubar_entries(Rg, TH, T, geom, params)
-    return {
-        "r": Rg.ravel(),
-        "theta": TH.ravel(),
-        "t": T.ravel(),
-        "f": f_profile(Rg, T, geom, params).ravel(),
-        "alpha": a.ravel(),
-        "beta": beta(Rg, T, geom, params).ravel(),
-        "gamma": gamma(Rg, T, geom, params).ravel(),
-        "qbar": np.broadcast_to(qbar(r, t[:, None], geom, params)[..., None], T.shape).ravel(),
-        "vbar_x": v[:, 0],
-        "vbar_y": v[:, 1],
-        "u11": u11.ravel(),
-        "u12": u12.ravel(),
-        "egen": egen(Rg, T, geom, params).ravel(),
-        "ebar": ebar(Rg, T, geom, params).ravel(),
-        "in_U": in_band(Rg, T, geom, params).ravel(),
+    t = np.asarray(t, dtype=float)[:, None, None]
+    r = np.asarray(r, dtype=float)[:, None]
+    a = alpha(r, t, geom, params)
+    v = azimuthal(a, theta)
+    u11, u12 = ubar_entries(r, theta, t, geom, params)
+    columns = {
+        "r": r, "theta": theta, "t": t, "f": f_profile(r, t, geom, params), "alpha": a,
+        "beta": beta(r, t, geom, params), "gamma": gamma(r, t, geom, params),
+        "qbar": qbar(r, t, geom, params), "vbar_x": v[..., 0], "vbar_y": v[..., 1],
+        "u11": u11, "u12": u12, "egen": egen(r, t, geom, params), "ebar": ebar(r, t, geom, params),
+        "in_U": in_band(r, t, geom, params),
     }
+    shape = (t.shape[0], r.shape[0], theta.size)
+    return {key: np.broadcast_to(col, shape).ravel() for key, col in columns.items()}
 
 
 def check_constraint_structure(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t) -> dict:
     """Verify egen < ebar strictly on band samples and egen = ebar elsewhere.
 
-    Samples the tensor grid t x r x theta of ``sample_columns``; samples
-    exactly on a band edge count as outside (the gap vanishes there).
+    Samples the tensor grid t x r x theta of ``sample_columns``, judging the
+    radially symmetric gap once per (r, t) node and counting each node once
+    per angle; samples exactly on a band edge count as outside (the gap
+    vanishes there).
     When epsilon >= 1 strictness has no meaning; the check then only verifies
     equality outside the closed band and reports ``strictness_applicable``
     false.  Returns the JSON results: sample counts, the smallest band gap
@@ -231,7 +224,10 @@ def check_constraint_structure(geom: AnnulusGeometry, params: SubsolutionParams,
     no sample, or with no band sample while the gap must be strict, fails with
     a ``no_evidence`` violation.
     """
-    T, Rg, _ = np.meshgrid(t, r, theta, indexing="ij")
+    # theta[:1] stands for every angle, and an empty theta leaves no node
+    theta = np.asarray(theta, dtype=float)
+    Rg, T, _ = np.broadcast_arrays(np.asarray(r, dtype=float)[:, None],
+                                   np.asarray(t, dtype=float)[:, None, None], theta[:1])
     band = in_band(Rg, T, geom, params)
     e_gen = egen(Rg, T, geom, params)
     e_bar = ebar(Rg, T, geom, params)
@@ -241,47 +237,31 @@ def check_constraint_structure(geom: AnnulusGeometry, params: SubsolutionParams,
     strict_applicable = params.epsilon < 1.0
     first = None
 
-    if strict_applicable and np.any(band):
-        inside_gap = gap[band]
-        bad = inside_gap <= 0.0
+    if strict_applicable:
+        bad = gap[band] <= 0.0
         if np.any(bad):
             k = int(np.argmax(bad))
-            idx = tuple(a[k] for a in (Rg[band], T[band]))
-            first = {
-                "kind": "strictness",
-                "r": float(idx[0]),
-                "t": float(idx[1]),
-                "egen": float(e_gen[band][k]),
-                "ebar": float(e_bar[band][k]),
-            }
+            first = {"kind": "strictness", "r": float(Rg[band][k]), "t": float(T[band][k]),
+                     "egen": float(e_gen[band][k]), "ebar": float(e_bar[band][k])}
     formula_dev = float(np.max(np.abs(gap - formula))) if gap.size else 0.0
     if first is None and formula_dev > EQ_TOL:
         k = int(np.argmax(np.abs(gap - formula)))
-        first = {
-            "kind": "gap_formula",
-            "r": float(Rg.ravel()[k]),
-            "t": float(T.ravel()[k]),
-            "deviation": formula_dev,
-        }
+        first = {"kind": "gap_formula", "r": float(Rg.flat[k]), "t": float(T.flat[k]),
+                 "deviation": formula_dev}
 
     outside = ~band
     eq_dev = float(np.max(np.abs(gap[outside]))) if np.any(outside) else 0.0
     if first is None and eq_dev > EQ_TOL:
-        flat_dev = np.abs(np.where(outside, gap, 0.0)).ravel()
-        k = int(np.argmax(flat_dev))
-        first = {
-            "kind": "equality",
-            "r": float(Rg.ravel()[k]),
-            "t": float(T.ravel()[k]),
-            "egen": float(e_gen.ravel()[k]),
-            "ebar": float(e_bar.ravel()[k]),
-        }
-    n_in_band = int(np.count_nonzero(band))
-    if first is None and (gap.size == 0 or (strict_applicable and n_in_band == 0)):
-        first = {"kind": "no_evidence", "n_samples": int(gap.size), "n_in_band": n_in_band}
+        k = int(np.argmax(np.abs(np.where(outside, gap, 0.0))))
+        first = {"kind": "equality", "r": float(Rg.flat[k]), "t": float(T.flat[k]),
+                 "egen": float(e_gen.flat[k]), "ebar": float(e_bar.flat[k])}
+    n_samples = gap.size * theta.size
+    n_in_band = int(np.count_nonzero(band)) * theta.size
+    if first is None and (n_samples == 0 or (strict_applicable and n_in_band == 0)):
+        first = {"kind": "no_evidence", "n_samples": n_samples, "n_in_band": n_in_band}
 
     return {
-        "n_samples": int(gap.size),
+        "n_samples": n_samples,
         "n_in_band": n_in_band,
         "strictness_applicable": strict_applicable,
         # strict JSON has no infinity: the minimum over no band sample is null
@@ -289,6 +269,6 @@ def check_constraint_structure(geom: AnnulusGeometry, params: SubsolutionParams,
         "max_gap_formula_dev": formula_dev,
         "max_eq_dev_outside": eq_dev,
         "first_violation": first,
-        "evidence": int(gap.size),
+        "evidence": n_samples,
         "ok": first is None,
     }

@@ -189,13 +189,13 @@ class TestCollarIntegrals:
         field = bl.CutoffField(PSI, CHI, eps, GEOM)
         want = np.zeros(4)
         for sign in (1.0, -1.0):
-            D, TH, W = bl._collar_nodes(GEOM, eps, sign)
-            (t_nn, t_nt, t_tn, t_tt), _ = field.frame_tensor(D, TH, sign)
+            d, th, W = bl._collar_nodes(GEOM, eps, sign)
+            (t_nn, t_nt, t_tn, t_tt), _ = field.frame_tensor(d, th, sign)
             # polar_jacobian takes t_ab = e_a . ((e_b . grad) w), so its t_r,theta is T_tn
-            grad = polar_jacobian(t_nn, t_tn, t_nt, t_tt, TH)
-            nu = sign * np.stack([np.cos(TH), np.sin(TH)], axis=-1)
+            grad = polar_jacobian(t_nn, t_tn, t_nt, t_tt, th)
+            nu = sign * np.stack([np.cos(th), np.sin(th)], axis=-1)
             tau = np.stack([-nu[..., 1], nu[..., 0]], axis=-1)
-            frame = {"n": (nu, v.normal_component(D, TH)), "t": (tau, v.tangential_component(D, TH))}
+            frame = {"n": (nu, v.normal_component(d, th)), "t": (tau, v.tangential_component(d, th))}
             for k, (a, b) in enumerate(("nn", "nt", "tn", "tt")):
                 (e_a, v_a), (e_b, v_b) = frame[a], frame[b]
                 pair = np.einsum("...i,...ij,...j->...", e_b, grad, e_a)

@@ -469,6 +469,9 @@ class TestVerdictsNeedEvidence:
     ["subsolution", "--grids.n_r", "inf"],
     ["burgers", "--burgers.t", "1.5"],
     ["viscosity", "--viscosity.dt", "1e-300"],
+    # numbers past double precision: a report would hold NaN
+    ["subsolution", "--params.lambda", "1e308"],
+    ["energy", "--params.lambda", "1e308"],
     # an output directory that cannot be made: a file stands at its path or above it
     ["validate", "--out", "{tmp}/file"],
     ["validate", "--out", "{tmp}/file/sub"],
@@ -520,6 +523,8 @@ _SMALL = {"burgers": ["--burgers.n_cells=2,4"], "viscosity": ["--viscosity.n=8"]
 @example(command="viscosity", overrides={"params.lambda": math.nan})
 @example(command="subsolution", overrides={"params.lambda": 0.0})
 @example(command="boundary", overrides={"boundary.holder_alpha": 5e-324})
+@example(command="subsolution", overrides={"params.lambda": 1e308})
+@example(command="energy", overrides={"params.lambda": 1e308})
 @given(
     command=st.sampled_from(["validate", "subsolution", "energy", "burgers", "viscosity", "boundary"]),
     overrides=st.fixed_dictionaries({}, optional={

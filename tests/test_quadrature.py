@@ -44,6 +44,8 @@ def test_annulus_measure():
 
 def test_annulus_rule_integrates_radial_power():
     rule = annulus_rule(GEOM, r_cells=4, theta_cells=2, order=10)
+    assert rule.r.shape == (40, 1) and rule.theta.shape == (20,) and rule.t is None
+    assert rule.weights.shape == (40, 20)
     # int r^-3 dx = 2 pi [r^-1... ] -> pi (rho^-2 - R^-2) for the r^-4 integrand
     val = rule.integrate(rule.r**-4.0)
     assert val == pytest.approx(math.pi * (1.0 - 0.25), rel=1e-12)
@@ -59,7 +61,41 @@ def test_spacetime_rule_volume_and_breaks():
     )
     volume = 0.5 * (1.8**2 - 1.2**2) * 2.0 * math.pi * 0.6
     assert rule.integrate(np.ones_like(rule.r)) == pytest.approx(volume, rel=1e-12)
-    assert rule.nodes.shape[1] == 3
+    # every time node's radial panels are pinned to that time's break radii
+    for tv in np.unique(rule.t):
+        radii = rule.r[rule.t == tv]
+        for edge in (1.5 - 0.1 * tv, 1.5 + 0.1 * tv):
+            assert np.count_nonzero(radii < edge) % 6 == 0
+
+
+def _meshgrid_spacetime_rule(t_span, r_span, r_breaks_at, cells, order, t_breaks=()):
+    """Flattened (r, theta, t) nodes and weights, built one time node at a time
+    from per-time meshgrids: the reference the broadcast form must repeat."""
+    r_cells, theta_cells, t_cells = cells
+    tn, tw = panel_rule(edges_with_breaks(*t_span, t_cells, t_breaks), order)
+    an, aw = panel_rule(edges_with_breaks(0.0, 2.0 * math.pi, theta_cells), order)
+    nodes, weights = [], []
+    for t_node, t_weight in zip(tn, tw):
+        rn, rw = panel_rule(edges_with_breaks(*r_span, r_cells, r_breaks_at(t_node)), order)
+        R, TH = np.meshgrid(rn, an, indexing="ij")
+        nodes.append(np.stack([R.ravel(), TH.ravel(), np.full(R.size, t_node)], axis=-1))
+        weights.append((np.outer(rw, aw) * R * t_weight).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("cells, order, t_breaks", [((3, 3, 3), 6, ()), ((2, 5, 4), 3, (0.35,))])
+def test_spacetime_rule_repeats_the_meshgrid_rule(cells, order, t_breaks):
+    args = ((0.2, 0.8), (1.2, 1.8), lambda t: (1.5 - 0.4 * t, 1.5 + 0.4 * t))
+    rule = spacetime_rule(*args, cells=cells, order=order, t_breaks=t_breaks)
+    nodes, weights = _meshgrid_spacetime_rule(*args, cells, order, t_breaks)
+    M, K = rule.weights.shape
+    assert rule.r.shape == rule.t.shape == (M, 1) and rule.theta.shape == (K,)
+    assert M * K == len(nodes)
+    assert np.array_equal(rule.weights.ravel(), weights)
+    for k, axis in enumerate((rule.r, rule.theta, rule.t)):
+        assert np.array_equal(np.broadcast_to(axis, (M, K)).ravel(), nodes[:, k])
+    # a moving break gives time nodes different radial node counts
+    assert len({np.count_nonzero(rule.t == tv) for tv in np.unique(rule.t)}) > 1
 
 
 def test_spacetime_rule_integrates_kinked_function():
@@ -96,4 +132,4 @@ def test_weights_positive_rejected_if_nonpositive():
     from rotsub.quadrature import QuadratureRule
 
     with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.zeros((2, 2)), weights=np.array([1.0, -1.0]))
+        QuadratureRule(r=np.ones((2, 1)), theta=np.zeros(1), t=None, weights=np.array([[1.0], [-1.0]]))

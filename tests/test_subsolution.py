@@ -326,6 +326,30 @@ class TestConstraintStructure:
         assert ss.in_band(first["r"], first["t"], GEOM, PARAMS)
         assert first["egen"] == first["ebar"]
 
+    @pytest.mark.parametrize("n_t, n_r, n_theta", [(3, 7, 5), (1, 4, 2), (2, 0, 3)])
+    def test_sample_columns_match_the_meshgrid_table(self, n_t, n_r, n_theta):
+        # every field evaluated at every (t, r, theta) node of a meshgrid; float
+        # columns compared by their bits, so gamma's -0.0 must stay -0.0
+        r, theta, t = grid(n_r, n_theta, n_t)
+        T, Rg, TH = np.meshgrid(t, r, theta, indexing="ij")
+        v = ss.azimuthal(ss.alpha(Rg, T, GEOM, PARAMS), TH)
+        u11, u12 = ss.ubar_entries(Rg, TH, T, GEOM, PARAMS)
+        fields = {name: getattr(ss, name)(Rg, T, GEOM, PARAMS)
+                  for name in ("alpha", "beta", "gamma", "qbar", "egen", "ebar")}
+        want = {"r": Rg, "theta": TH, "t": T, "f": ss.f_profile(Rg, T, GEOM, PARAMS), **fields,
+                "vbar_x": v[..., 0], "vbar_y": v[..., 1], "u11": u11, "u12": u12,
+                "in_U": ss.in_band(Rg, T, GEOM, PARAMS)}
+        cols = ss.sample_columns(GEOM, PARAMS, r, theta, t)
+        assert set(cols) == set(want)
+        for name, column in cols.items():
+            expected = np.asarray(want[name]).ravel()
+            assert column.shape == (n_t * n_r * n_theta,) and column.dtype == expected.dtype, name
+            if column.dtype == float:
+                assert np.array_equal(column.view(np.uint64), expected.view(np.uint64)), name
+            else:
+                assert np.array_equal(column, expected), name
+        assert n_r == 0 or np.any(np.signbit(cols["gamma"]) & (cols["gamma"] == 0.0))
+
     def test_sample_columns_contract(self):
         cols = ss.sample_columns(GEOM, PARAMS, np.array([1.3, 1.5]), np.array([0.0]), np.array([0.0, 0.5]))
         expected = ["r", "theta", "t", "f", "alpha", "beta", "gamma", "qbar",

@@ -165,6 +165,27 @@ class TestLinearSystemResidual:
         assert study["orders"][0] >= 2.0
         assert abs(study["residuals"][-1]) < abs(study["residuals"][0])
 
+    def test_pressure_evaluated_once_per_radial_node(self, monkeypatch):
+        # qbar is radially symmetric: one value per (r, t) node, broadcast over theta
+        rules, points = [], []
+        spacetime_rule = wf.spacetime_rule
+
+        def spy_rule(*args, **kwargs):
+            rules.append(spacetime_rule(*args, **kwargs))
+            return rules[-1]
+
+        def spy_qbar(r, t, geom, params):
+            points.append(np.broadcast(r, t).size)
+            return ss.qbar(r, t, geom, params)
+
+        monkeypatch.setattr(wf, "spacetime_rule", spy_rule)
+        monkeypatch.setattr(wf, "qbar", spy_qbar)
+        for phi in wf.default_test_fields(GEOM, PARAMS).values():
+            wf.weak_residual_linear_system(GEOM, PARAMS, phi, cells=(2, 2, 2), order=3)
+        assert len(points) == len(rules) == 5
+        assert points == [rule.r.size for rule in rules]
+        assert all(rule.weights.size == rule.r.size * rule.theta.size for rule in rules)
+
 
 class TestDivergenceResidual:
     def test_radial_bump_tiny(self):
