@@ -10,6 +10,11 @@ whose entropy solution is the self-similar fan
     f = (r - r0)/(lam*t)  inside the fan,
     f = +1                for r > r0 + lam*t.
 
+This module is the one place that knows where the fan is: ``fan_interval``
+gives its radial interval cut to the annulus [rho, R], and ``fan_span`` the
+same interval in the fan variable u = (r - r0)/(lam t).  Every other module
+reads the fan's edges from these two.
+
 The Godunov scheme below is an independent check on this closed form; it never
 feeds back into the construction.  ``godunov_solve`` returns the final
 ``FVState`` (cell edges and averages), and ``compare_exact_vs_fv`` measures its
@@ -48,9 +53,27 @@ def rarefaction(r, t, r0: float, lam: float):
     return out
 
 
-def fan_interval(t, r0: float, lam: float):
-    """Open radial interval occupied by the fan at time t (empty at t = 0)."""
-    return r0 - lam * t, r0 + lam * t
+def fan_interval(t, geom: AnnulusGeometry, lam: float):
+    """(low, high): the fan's open radial interval (r0 - lam t, r0 + lam t) at
+    time t, cut to the annulus [rho, R]; broadcasts over t.
+
+    Empty (low >= high) at t = 0 and for lam <= 0.
+    """
+    width = lam * np.asarray(t, dtype=float)
+    return np.maximum(geom.r0 - width, geom.rho), np.minimum(geom.r0 + width, geom.R)
+
+
+def fan_span(t, geom: AnnulusGeometry, lam: float):
+    """``fan_interval`` in the fan variable u = (r - r0)/(lam t); broadcasts over t.
+
+    Exactly (-1.0, 1.0) unless a wall cuts the fan, also at t = 0, where the
+    quotients are infinite.  Both ends are clipped to [-1, 1], so for lam < 0
+    the span is empty (low >= high) but finite.
+    """
+    width = lam * np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return (np.clip((geom.rho - geom.r0) / width, -1.0, 1.0),
+                np.clip((geom.R - geom.r0) / width, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -76,10 +99,6 @@ class FVState:
     @property
     def centers(self):
         return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    @property
-    def mass(self) -> float:
-        return float(self.h * self.averages.sum())
 
 
 def initial_state(geom: AnnulusGeometry, lam: float, n_cells: int) -> FVState:
@@ -161,7 +180,7 @@ def compare_exact_vs_fv(geom: AnnulusGeometry, params: SubsolutionParams, t: flo
     h = centers[1] - centers[0]
     l1 = float(h * diff.sum())
     away = np.ones(diff.size, dtype=bool)
-    for edge in fan_interval(t, geom.r0, params.lam):
+    for edge in fan_interval(t, geom, params.lam):
         # edges[k] is the cell edge nearest the fan edge; k moves only where a fan
         # edge crosses a cell center, so no last bit of a fan edge decides it
         k = int(np.searchsorted(centers, edge))

@@ -68,43 +68,10 @@ def gamma(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
 
 
 def in_band(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
-    """Mask of the expanding open band r0 - lam t < r < r0 + lam t (empty at t = 0)."""
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    left, right = fan_interval(t, geom.r0, params.lam)
-    return (params.lam * t > 0) & (r > left) & (r < right)
-
-
-def _f_partials(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
-    """Analytic (f_r, f_t) away from the fan edges; zero outside the fan.
-
-    Values exactly on an edge take the outside limit (both partials 0).
-    """
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    width = params.lam * t
-    inside = in_band(r, t, geom, params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_r = np.where(inside, 1.0 / width, 0.0)
-        f_t = np.where(inside, -(r - geom.r0) / (params.lam * t**2), 0.0)
-    return f_r, f_t
-
-
-def alpha_partials(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
-    """Analytic (d alpha/dr, d alpha/dt) away from the fan edges."""
-    r = np.asarray(r, dtype=float)
-    f = f_profile(r, t, geom, params)
-    f_r, f_t = _f_partials(r, t, geom, params)
-    return f_r / r**2 - 2.0 * f / r**3, f_t / r**2
-
-
-def gamma_partial_r(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
-    """Analytic d gamma/dr away from the fan edges."""
-    r = np.asarray(r, dtype=float)
-    f = f_profile(r, t, geom, params)
-    f_r, _ = _f_partials(r, t, geom, params)
-    lam = params.lam
-    return lam * (1.0 - f**2) / r**3 + lam * f * f_r / r**2
+    """Mask of the open band: r strictly inside ``fan_interval``, so empty at
+    t = 0 and for lam <= 0, and never on a wall."""
+    low, high = fan_interval(t, geom, params.lam)
+    return (np.asarray(r, dtype=float) > low) & (r < high)
 
 
 def qbar(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
@@ -115,17 +82,17 @@ def qbar(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
     s = r0 + lam t u that deficit is lam t int (1 - u^2)/(r0 + lam t u)^5 du, a
     smooth integrand taken by a fixed 16-point Gauss rule (12 points lose digits
     at large lam t), summed node by node so no points-by-nodes array is held.
-    The fan's lower edge is clamped to rho.  Broadcasts over r and t.
+    The fan is ``fan_interval``, cut to the annulus, so its lower edge is
+    clamped to rho.  Broadcasts over r and t.
     """
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    width = params.lam * t
-    low = np.maximum(geom.r0 - width, geom.rho)
-    fan = (width > 0) & (r > low)
+    low, high = fan_interval(t, geom, params.lam)
+    fan = (r > low) & (high > low)
     deficit = np.zeros(r.shape)
     if np.any(fan):
-        w = width[fan]
+        w = params.lam * t[fan]
         u_low = (low[fan] - geom.r0) / w
-        u_high = (np.minimum(r[fan], geom.r0 + w) - geom.r0) / w
+        u_high = (np.minimum(r[fan], high[fan]) - geom.r0) / w
         mid = 0.5 * (u_high + u_low)
         half = 0.5 * (u_high - u_low)
         acc = np.zeros_like(w)

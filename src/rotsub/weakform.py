@@ -30,21 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burgers import fan_interval
+from .burgers import fan_interval, fan_span
 from .geometry import AnnulusGeometry, SubsolutionParams, polar_jacobian, polar_vector
-from .quadrature import annulus_rule, edges_with_breaks, panel_rule, spacetime_rule
-from .subsolution import (
-    alpha,
-    alpha0,
-    alpha_partials,
-    azimuthal,
-    beta,
-    ebar,
-    gamma,
-    gamma_partial_r,
-    qbar,
-    ubar_entries,
-)
+from .quadrature import _leggauss, annulus_rule, edges_with_breaks, panel_rule, spacetime_rule
+from .subsolution import alpha, alpha0, azimuthal, beta, ebar, gamma, qbar, ubar_entries
 
 TWO_PI = 2.0 * math.pi
 # exponent p of the polynomial bump (1 - u^2)^p; the fields need two derivatives
@@ -257,7 +246,7 @@ def default_test_fields(geom: AnnulusGeometry, params: SubsolutionParams):
     two cross it (one generic, one divergence-free), and one has no angular
     dependence at all.
     """
-    left_end, right_end = fan_interval(geom.T, geom.r0, params.lam)
+    left_end, right_end = fan_interval(geom.T, geom, params.lam)
     pad_in = 0.25 * (left_end - geom.rho)
     pad_out = 0.25 * (geom.R - right_end)
     t_mid = (0.1 * geom.T, 0.9 * geom.T)
@@ -317,14 +306,11 @@ def weak_residual_linear_system(geom: AnnulusGeometry, params: SubsolutionParams
     time panels to the times at which those edges cross the support.
     """
     (ra, rb), (ta, tb) = phi.r_support, phi.t_support
-    crossings = []
-    if params.lam > 0:
-        for radius in (ra, rb):
-            for t_cross in ((geom.r0 - radius) / params.lam, (radius - geom.r0) / params.lam):
-                if ta < t_cross < tb:
-                    crossings.append(t_cross)
-    quad = spacetime_rule((ta, tb), (ra, rb), lambda tv: fan_interval(tv, geom.r0, params.lam),
-                          cells=cells, order=order, t_breaks=tuple(crossings))
+    # a band edge reaches a support radius when lam t = |radius - r0|
+    crossings = ([abs(radius - geom.r0) / params.lam for radius in (ra, rb)]
+                 if params.lam > 0 else [])
+    quad = spacetime_rule((ta, tb), (ra, rb), lambda tv: fan_interval(tv, geom, params.lam),
+                          cells=cells, order=order, t_breaks=crossings)
     r, th, t = quad.r, quad.theta, quad.t
     # this order of evaluation holds the fewest node arrays at once
     q = qbar(r, t, geom, params)
@@ -379,7 +365,7 @@ def linear_system_refinement(geom, params, phi, levels: int = 3, order: int = 3)
 
 
 def _require_away_from_band(geom, params, r, t, h):
-    left, right = fan_interval(t, geom.r0, params.lam)
+    left, right = fan_interval(t, geom, params.lam)
     near = (np.abs(r - left) < 2.0 * h) | (np.abs(r - right) < 2.0 * h)
     if np.any(near):
         raise ValueError("finite differences need all points at distance >= 2h from the band edges")
@@ -422,8 +408,7 @@ def sample_points_away_from_band(geom: AnnulusGeometry, params: SubsolutionParam
     """
     n_each = n_points // 3
     t_lo, t_hi = 0.3 * geom.T, 0.9 * geom.T
-    left_end = geom.r0 - params.lam * geom.T
-    right_end = geom.r0 + params.lam * geom.T
+    left_end, right_end = fan_interval(geom.T, geom, params.lam)
     if min(left_end - geom.rho, geom.R - right_end) < 8 * h or params.lam * t_hi < 10 * h:
         raise ValueError(
             f"no room for points with step h={h}: the band must stay 8h clear of the "
@@ -443,21 +428,6 @@ def sample_points_away_from_band(geom: AnnulusGeometry, params: SubsolutionParam
     )
 
 
-def radial_system_residual_analytic(geom: AnnulusGeometry, params: SubsolutionParams, r, t):
-    """Same residuals with all derivatives analytic; identically zero up to roundoff.
-
-    d_r qbar = alpha d_r alpha + alpha^2 / r by construction of the pressure
-    integral, so res1 cancels exactly; res2 cancels because f solves the
-    conservation law.  Only meaningful away from the band edges.
-    """
-    r = np.asarray(r, dtype=float)
-    a = alpha(r, t, geom, params)
-    a_r, a_t = alpha_partials(r, t, geom, params)
-    res1 = -a * a_r + 2.0 * beta(r, t, geom, params) / r + (a * a_r + a**2 / r)
-    res2 = a_t + gamma_partial_r(r, t, geom, params) + 2.0 * gamma(r, t, geom, params) / r
-    return res1, res2
-
-
 def initial_energy(geom: AnnulusGeometry) -> float:
     """int_Omega |v(.,0)|^2 dx = pi (rho^-2 - R^-2)."""
     return math.pi * (geom.rho**-2 - geom.R**-2)
@@ -465,7 +435,7 @@ def initial_energy(geom: AnnulusGeometry) -> float:
 
 def energy_total(geom: AnnulusGeometry, params: SubsolutionParams, t: float) -> float:
     """int_Omega 2 ebar(., t) dx by eight 8-point radial panels pinned to the band edges."""
-    edges = edges_with_breaks(geom.rho, geom.R, 8, fan_interval(t, geom.r0, params.lam))
+    edges = edges_with_breaks(geom.rho, geom.R, 8, fan_interval(t, geom, params.lam))
     nodes, weights = panel_rule(edges, 8)
     return TWO_PI * float(np.dot(weights, 2.0 * ebar(nodes, t, geom, params) * nodes))
 
@@ -475,21 +445,28 @@ def energy_series(geom: AnnulusGeometry, params: SubsolutionParams, times):
 
 
 def energy_deficit(geom: AnnulusGeometry, params: SubsolutionParams, times):
-    """Exact energy deficit E(0) - E(t) on the fan, one value per time.
+    """Exact energy deficit E(0) - E(t) over the annulus, one value per time.
 
     Outside the band ebar is the initial energy density, so with the fan
     substitution r = r0 + lam t u (f = u),
 
-        D(t) = 2 pi epsilon lam t int_{-1}^{1} (1 - lam r^2)(1 - u^2) / r^3 du,
+        D(t) = 2 pi epsilon lam t int (1 - lam r^2)(1 - u^2) / r^3 du
 
-    a smooth integrand taken by a fixed Gauss rule.  D carries the factor
+    over ``fan_span``: u from -1 to 1 while the fan is inside the annulus, cut
+    where a wall cuts it, and no u at all for lam < 0.  The integrand is
+    smooth, taken by a fixed 32-point Gauss rule.  D carries the factor
     epsilon lam t exactly, so it stays accurate (and increasing) when the
     deficit is far below the roundoff of E itself.
     """
-    u, w = panel_rule([-1.0, 1.0], 32)
-    width = params.lam * np.asarray(times, dtype=float)[:, None]
+    times = np.asarray(times, dtype=float)
+    xi, wi = _leggauss(32)
+    low, high = fan_span(times, geom, params.lam)
+    mid = 0.5 * (high + low)[:, None]
+    half = 0.5 * np.maximum(high - low, 0.0)
+    width = params.lam * times[:, None]
+    u = mid + half[:, None] * xi
     r = geom.r0 + width * u
-    integral = ((1.0 - params.lam * r**2) * (1.0 - u**2) / r**3) @ w
+    integral = half * (((1.0 - params.lam * r**2) * (1.0 - u**2) / r**3) @ wi)
     return TWO_PI * params.epsilon * width[:, 0] * integral
 
 
@@ -513,9 +490,7 @@ def initial_data_attainment(geom: AnnulusGeometry, params: SubsolutionParams,
     l2_sq = np.empty_like(times)
     pairing = np.empty_like(times)
     for i, tv in enumerate(times):
-        left, right = fan_interval(tv, geom.r0, params.lam)
-        # the norm is over the annulus, which an inadmissible lam overruns
-        left, right = max(left, geom.rho), min(right, geom.R)
+        left, right = fan_interval(tv, geom, params.lam)
         if not right > left:
             l2_sq[i] = 0.0
             pairing[i] = 0.0

@@ -1,7 +1,9 @@
-"""Cartesian views of the constructed state, for tests that check it at points x.
+"""Test oracles: Cartesian views of the constructed state, and the analytic
+derivatives of the fan.
 
-Each turns its points back into polar coordinates and evaluates the polar
-library functions there; the library itself works on polar data only.
+The Cartesian views turn their points back into polar coordinates and evaluate
+the polar library functions there; the library itself works on polar data
+only.  The derivatives give the radial system's residuals in closed form.
 """
 
 import numpy as np
@@ -33,3 +35,50 @@ def initial_velocity_at(x, geom):
     x_perp = (x2, -x1), at Cartesian points."""
     r, theta = cartesian_to_polar(x)
     return ss.azimuthal(ss.alpha0(r, geom), theta)
+
+
+def f_partials(r, t, geom, params):
+    """Analytic (f_r, f_t) away from the fan edges; zero outside the fan.
+
+    Values exactly on an edge take the outside limit (both partials 0).
+    """
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    inside = ss.in_band(r, t, geom, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_r = np.where(inside, 1.0 / (params.lam * t), 0.0)
+        f_t = np.where(inside, -(r - geom.r0) / (params.lam * t**2), 0.0)
+    return f_r, f_t
+
+
+def alpha_partials(r, t, geom, params):
+    """Analytic (d alpha/dr, d alpha/dt) away from the fan edges."""
+    r = np.asarray(r, dtype=float)
+    f = ss.f_profile(r, t, geom, params)
+    f_r, f_t = f_partials(r, t, geom, params)
+    return f_r / r**2 - 2.0 * f / r**3, f_t / r**2
+
+
+def gamma_partial_r(r, t, geom, params):
+    """Analytic d gamma/dr away from the fan edges."""
+    r = np.asarray(r, dtype=float)
+    f = ss.f_profile(r, t, geom, params)
+    f_r, _ = f_partials(r, t, geom, params)
+    lam = params.lam
+    return lam * (1.0 - f**2) / r**3 + lam * f * f_r / r**2
+
+
+def radial_system_residual_analytic(geom, params, r, t):
+    """The radial system's residuals with all derivatives analytic; identically
+    zero up to roundoff.
+
+    d_r qbar = alpha d_r alpha + alpha^2 / r by construction of the pressure
+    integral, so res1 cancels exactly; res2 cancels because f solves the
+    conservation law.  Only meaningful away from the band edges.
+    """
+    r = np.asarray(r, dtype=float)
+    a = ss.alpha(r, t, geom, params)
+    a_r, a_t = alpha_partials(r, t, geom, params)
+    res1 = -a * a_r + 2.0 * ss.beta(r, t, geom, params) / r + (a * a_r + a**2 / r)
+    res2 = a_t + gamma_partial_r(r, t, geom, params) + 2.0 * ss.gamma(r, t, geom, params) / r
+    return res1, res2

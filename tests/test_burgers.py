@@ -13,6 +13,7 @@ from rotsub.burgers import (
     _godunov_flux,
     compare_exact_vs_fv,
     fan_interval,
+    fan_span,
     godunov_solve,
     godunov_step,
     initial_state,
@@ -42,7 +43,7 @@ class TestRarefaction:
 
     def test_edge_values_one_sided(self):
         t, lam = 0.5, 0.1
-        left, right = fan_interval(t, 1.5, lam)
+        left, right = fan_interval(t, GEOM, lam)
         assert rarefaction(left, t, 1.5, lam) == -1.0
         assert rarefaction(right, t, 1.5, lam) == 1.0
 
@@ -78,11 +79,11 @@ class TestGodunov:
 
     def test_mass_conserved(self):
         state = initial_state(GEOM, 0.1, 500)
-        mass0 = state.mass
+        mass0 = state.h * state.averages.sum()
         dt = 0.9 * state.h / 0.1
         for _ in range(100):
             state = godunov_step(state, dt)
-        assert abs(state.mass - mass0) < 1e-10
+        assert abs(state.h * state.averages.sum() - mass0) < 1e-10
 
     def test_cfl_violation_rejected(self):
         state = initial_state(GEOM, 0.1, 100)
@@ -204,8 +205,43 @@ class TestExactVsFV:
 
     def test_fan_width_scales_with_lambda(self):
         for lam, t in [(0.1, 0.5), (0.05, 0.5), (0.025, 0.5)]:
-            left, right = fan_interval(t, GEOM.r0, lam)
+            left, right = fan_interval(t, GEOM, lam)
             assert right - left == pytest.approx(2.0 * lam * t, rel=1e-14)
+
+
+class TestFanInterval:
+    """The fan's interval cut to the annulus, in r and in u = (r - r0)/(lam t)."""
+
+    def test_empty_at_t0(self):
+        assert fan_interval(0.0, GEOM, 0.1) == (GEOM.r0, GEOM.r0)
+        assert fan_span(0.0, GEOM, 0.1) == (-1.0, 1.0)
+
+    def test_empty_for_negative_lam(self):
+        t = np.linspace(0.0, GEOM.T, 11)[1:]
+        low, high = fan_interval(t, GEOM, -0.1)
+        assert np.all(low > high)
+        u_low, u_high = fan_span(t, GEOM, -0.1)
+        assert np.all(u_low > u_high)
+
+    def test_huge_lam_fills_the_annulus(self):
+        assert fan_interval(GEOM.T, GEOM, 1e308) == (GEOM.rho, GEOM.R)
+
+    def test_uncut_fan_is_the_plain_interval(self):
+        # the 2000 times of the table workload: at lam = 0.1 no wall cuts the fan
+        t = np.linspace(0.0, GEOM.T, 2000)
+        low, high = fan_interval(t, GEOM, 0.1)
+        assert np.array_equal(low, GEOM.r0 - 0.1 * t)
+        assert np.array_equal(high, GEOM.r0 + 0.1 * t)
+        u_low, u_high = fan_span(t, GEOM, 0.1)
+        assert np.all(u_low == -1.0) and np.all(u_high == 1.0)
+
+    def test_walls_cut_the_fan(self):
+        # at lam = 0.6 the fan reaches both walls at t = 5/6
+        assert fan_span(0.8, GEOM, 0.6) == (-1.0, 1.0)
+        assert fan_interval(1.0, GEOM, 0.6) == (GEOM.rho, GEOM.R)
+        u_low, u_high = fan_span(1.0, GEOM, 0.6)
+        assert u_low == pytest.approx(-0.5 / 0.6, rel=1e-15)
+        assert u_high == pytest.approx(0.5 / 0.6, rel=1e-15)
 
 
 def test_weak_form_of_conservation_law():
@@ -226,7 +262,7 @@ def test_weak_form_of_conservation_law():
         t_nodes, t_weights = panel_rule(edges_with_breaks(0.1, 0.9, cells), order)
         total = 0.0
         for tv, wt in zip(t_nodes, t_weights):
-            left, right = fan_interval(tv, 1.5, lam)
+            left, right = fan_interval(tv, GEOM, lam)
             r_nodes, r_weights = panel_rule(
                 edges_with_breaks(1.2, 1.8, cells, (left, right)), order
             )

@@ -197,6 +197,20 @@ class TestEnergyCommand:
         assert report["results"]["ok"] is True
 
 
+    @pytest.mark.parametrize("lam", ["-0.1", "0.6", "2"])
+    def test_deficit_matches_energy_for_inadmissible_lambda(self, tmp_path, lam):
+        # the fan overruns both walls from t = 5/6 at lam 0.6 and from t = 1/4
+        # at lam 2, and opens no band at lam < 0: D is the deficit over the
+        # annulus, so it is E0 - E
+        assert cli.main(["energy", "--params.lambda", lam, "--out", str(tmp_path)]) == 1
+        results = read_strict_report(tmp_path, "energy")["results"]
+        e0 = results["E0"]
+        assert len(results["D"]) == len(results["energy"]) == 9
+        for energy, deficit in zip(results["energy"], results["D"]):
+            assert abs(e0 - energy - deficit) <= 1e-10 * e0
+        assert results["ok"] is False and results["violations"]
+
+
 class TestNumericalCommands:
     def test_burgers(self, tmp_path):
         result = run_cli(

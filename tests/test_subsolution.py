@@ -28,7 +28,7 @@ def pressure_integral_oracle(r, t, geom, params):
         return (-0.5 * s**-2 + (2.0 * r0 / 3.0) * s**-3 - 0.25 * r0**2 * s**-4) / w**2
 
     w = lam * t
-    left, right = fan_interval(t, r0, lam)
+    left, right = fan_interval(t, geom, lam)
     pieces = 0.0
     segments = []
     if w > 0 and right > geom.rho and left < r:
@@ -266,8 +266,20 @@ class TestTurbulentRegion:
         r = np.linspace(1.0, 2.0, 100)
         assert not np.any(ss.in_band(r, 0.0, GEOM, PARAMS))
 
+    @pytest.mark.parametrize("lam", [0.0, -0.1, -2.0])
+    def test_empty_for_lam_not_positive(self, lam):
+        r = np.linspace(1.0, 2.0, 101)[:, None]
+        t = np.linspace(0.0, GEOM.T, 11)
+        assert not np.any(ss.in_band(r, t, GEOM, SubsolutionParams(lam=lam, epsilon=0.5)))
+
+    def test_walls_are_outside(self):
+        # at lam = 0.6, t = 1 the fan covers the annulus; the walls are not in it
+        p = SubsolutionParams(lam=0.6, epsilon=0.5)
+        assert ss.in_band(np.array([1.0 + 1e-12, 2.0 - 1e-12]), 1.0, GEOM, p).all()
+        assert not ss.in_band(np.array([GEOM.rho, GEOM.R]), 1.0, GEOM, p).any()
+
     def test_inside_domain_for_valid_params(self):
-        left, right = fan_interval(GEOM.T, GEOM.r0, PARAMS.lam)
+        left, right = fan_interval(GEOM.T, GEOM, PARAMS.lam)
         assert GEOM.rho < left < right < GEOM.R
 
     def test_membership(self):
