@@ -154,37 +154,79 @@ def _params(config) -> SubsolutionParams:
 CSV_BLOCK_ROWS = 4096
 
 
-def _format_column(column) -> list:
-    """Cell texts of one column: ``repr`` of floats, ``str`` of integers and
-    strings, ``true``/``false`` for booleans."""
-    values = column.tolist()
+def _cell_texts(column, texts: dict) -> list:
+    """Cell texts of ``column`` in C order: ``repr`` of floats, ``str`` of
+    integers and strings, ``true``/``false`` for booleans.
+
+    ``texts`` is the bits -> text dict of the column's dtype, kept for the
+    whole file: repr depends only on a float's bits, so each distinct pattern
+    is formatted once, and keying on bits keeps -0.0 apart from 0.0 and finds
+    nan.
+    """
+    if column.dtype.kind == "f":
+        bits = column.view(f"u{column.itemsize}").ravel()
+        keys = bits.tolist()
+        new = list(set(keys).difference(texts))
+        values = np.array(new, dtype=bits.dtype).view(column.dtype).tolist()
+        texts.update(zip(new, map(repr, values)))
+        return list(map(texts.__getitem__, keys))
+    values = column.ravel().tolist()
     if column.dtype == bool:
         return ["true" if v else "false" for v in values]
-    if column.dtype.kind == "f":
-        # repr depends only on a float's bits, so each distinct pattern is
-        # formatted once; keying on bits keeps -0.0 apart from 0.0 and finds nan
-        bits = column.view(f"u{column.itemsize}").tolist()
-        texts = {b: repr(v) for b, v in dict(zip(bits, values)).items()}
-        return list(map(texts.__getitem__, bits))
     return list(map(str, values))
 
 
-def write_csv(path: Path, columns: dict):
-    """Write equal-length columns (header -> values) as a CSV file.
+def _segment_texts(segment, start: int, stop: int, block: tuple) -> list:
+    """Joined cell texts of a segment, consecutive columns of one shape each
+    with its text dict, for the rows of one block in C order over ``block``.
 
-    Cells are formatted a column at a time over blocks of ``CSV_BLOCK_ROWS``
-    rows, which bounds the memory held by formatted text; within a block each
-    distinct float is formatted once.
+    A segment that runs along the first axis is cut to the block; one that
+    does not is the same in every block.  Its cells are joined once per
+    element of its own shape, then repeated across the block's other axes.
+    """
+    shape = segment[0][0].shape
+    if len(shape) == len(block) and shape[0] != 1:
+        segment = [(a[start:stop], column_texts) for a, column_texts in segment]
+        shape = (stop - start, *shape[1:])
+    texts = [_cell_texts(a, column_texts) for a, column_texts in segment]
+    joined = texts[0] if len(texts) == 1 else list(map(",".join, zip(*texts)))
+    if shape == block:
+        return joined
+    return np.broadcast_to(np.array(joined, dtype=object).reshape(shape), block).ravel().tolist()
+
+
+def write_csv(path: Path, columns: dict):
+    """Write columns (header -> values) as a CSV file with one row per element
+    of the shape they broadcast to, in C order; a flat table is the 1-D case.
+
+    Rows are formatted and streamed in blocks of whole slices along the first
+    axis, about ``CSV_BLOCK_ROWS`` rows each, which bounds the memory held by
+    formatted text.  Each distinct bit pattern of a float dtype is formatted
+    once per file.  Consecutive columns of one shape form a segment joined once per
+    element of that shape (once per (t, r) node for the radial fields of
+    ``sample_columns``), and each row joins its segments.
     """
     arrays = [np.asarray(col) for col in columns.values()]
-    n_rows = len(arrays[0]) if arrays else 0
-    if any(len(a) != n_rows for a in arrays):
-        raise ValueError(f"CSV columns of unequal length for {path}")
+    try:
+        shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else (0,)
+    except ValueError as exc:
+        raise ValueError(f"CSV columns of shapes {[a.shape for a in arrays]} do not broadcast "
+                         f"for {path}") from exc
+    segments = []
+    texts = {}  # one bits -> text dict per dtype, shared by its columns
+    for a in arrays:
+        if not segments or segments[-1][0][0].shape != a.shape:
+            segments.append([])
+        segments[-1].append((a, texts.setdefault(a.dtype, {})))
+    step = max(1, CSV_BLOCK_ROWS // max(1, math.prod(shape[1:])))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            cells = [_format_column(a[start:start + CSV_BLOCK_ROWS]) for a in arrays]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for start in range(0, shape[0], step):
+            stop = min(start + step, shape[0])
+            block = (stop - start, *shape[1:])
+            cells = [_segment_texts(segment, start, stop, block) for segment in segments]
+            cells[-1] = [text + "\n" for text in cells[-1]]  # the last cell ends its row
+            fh.writelines(map(",".join, zip(*cells)))
 
 
 def _write_report(out_dir: Path, name: str, report: dict):
@@ -330,6 +372,9 @@ def cmd_burgers(config):
     linf = [e[1] for e in errors]
     in_bounds = all(e[2] <= 1.0 + 1e-12 for e in errors)
     ratios = [l1[i] / l1[i + 1] for i in range(len(l1) - 1)]
+    # a ratio of two roundoff-level errors, as when the fan is narrower than a
+    # cell, measures nothing
+    measured = [min(l1[i], l1[i + 1]) > weakform.ROUNDOFF_FLOOR for i in range(len(ratios))]
     columns = {
         "n_cells": meshes, "l1_error": l1, "linf_interior": linf, "l1_ratio": [float("nan"), *ratios],
     }
@@ -340,8 +385,8 @@ def cmd_burgers(config):
         "linf_interior": linf,
         "l1_ratios": ratios,
         "max_principle_ok": in_bounds,
-        "evidence": len(ratios),
-        "ok": in_bounds and all(1.7 <= ratio <= 2.3 for ratio in ratios),
+        "evidence": sum(measured),
+        "ok": in_bounds and all(1.7 <= r <= 2.3 for r, m in zip(ratios, measured) if m),
     }, geom, params)
     return columns, results, f"burgers oracle (L1 ratios {['%.2f' % r for r in ratios]})"
 
@@ -494,8 +539,10 @@ def main(argv=None) -> int:
                 columns, results, summary = _HANDLERS[args.command](config)
         except FloatingPointError as exc:
             raise ConfigError(f"the configuration overflows double precision ({exc})") from exc
+        handled = time.perf_counter()
         if columns is not None:
             write_csv(out_dir / f"{args.command}.csv", columns)
+        written = time.perf_counter()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -514,6 +561,7 @@ def main(argv=None) -> int:
             "blas_threads": _blas_threads(),
             "config": config,
             "wall_time_s": time.perf_counter() - started,
+            "timings": {"handler_s": handled - started, "write_csv_s": written - handled},
         },
     }
     _write_report(out_dir, args.command, report)

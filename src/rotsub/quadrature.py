@@ -28,18 +28,18 @@ def _leggauss(order: int):
 def panel_rule(edges, order: int):
     """Composite Gauss-Legendre rule on the panels defined by ``edges``.
 
-    Returns flat (nodes, weights) arrays covering [edges[0], edges[-1]].
+    Returns (nodes, weights) covering [edges[..., 0], edges[..., -1]], flat
+    along the last axis; leading axes of ``edges`` stack independent rules.
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be a strictly increasing 1-D array with >= 2 entries")
+    if edges.ndim < 1 or edges.shape[-1] < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be strictly increasing along the last axis, with >= 2 entries")
     xi, wi = _leggauss(order)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
+    a = edges[..., :-1, None]
+    b = edges[..., 1:, None]
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b) + half * xi[None, :]).ravel()
-    weights = (half * wi[None, :]).ravel()
-    return nodes, weights
+    shape = (*edges.shape[:-1], (edges.shape[-1] - 1) * order)
+    return (0.5 * (a + b) + half * xi).reshape(shape), (half * wi).reshape(shape)
 
 
 def edges_with_breaks(a: float, b: float, cells: int, breaks=()):

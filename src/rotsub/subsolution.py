@@ -151,10 +151,15 @@ def energy_gap(r, t, geom: AnnulusGeometry, params: SubsolutionParams):
 
 
 def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t):
-    """Flattened field table over the tensor grid t x r x theta (t outermost).
+    """Field table over the tensor grid t x r x theta, as columns that
+    broadcast to its shape (n_t, n_r, n_theta); its rows run in C order, t
+    outermost.
 
-    The radially symmetric fields are evaluated once per (r, t) node, and
-    broadcast over theta.  Keys match the CSV column contract, in order:
+    No column is expanded: ``r`` is an (n_r, 1) column, ``theta`` an
+    (n_theta,) row and ``t`` an (n_t, 1, 1) array.  The radially symmetric
+    fields (f, alpha, beta, gamma, qbar, egen, ebar, in_U) are evaluated once
+    per (r, t) node, shape (n_t, n_r, 1); only vbar_x, vbar_y, u11 and u12 are
+    (n_t, n_r, n_theta).  Keys match the CSV column contract, in order:
     r, theta, t, f, alpha, beta, gamma, qbar, vbar_x, vbar_y, u11, u12,
     egen, ebar, in_U.
     """
@@ -164,15 +169,13 @@ def sample_columns(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t
     a = alpha(r, t, geom, params)
     v = azimuthal(a, theta)
     u11, u12 = ubar_entries(r, theta, t, geom, params)
-    columns = {
+    return {
         "r": r, "theta": theta, "t": t, "f": f_profile(r, t, geom, params), "alpha": a,
         "beta": beta(r, t, geom, params), "gamma": gamma(r, t, geom, params),
         "qbar": qbar(r, t, geom, params), "vbar_x": v[..., 0], "vbar_y": v[..., 1],
         "u11": u11, "u12": u12, "egen": egen(r, t, geom, params), "ebar": ebar(r, t, geom, params),
         "in_U": in_band(r, t, geom, params),
     }
-    shape = (t.shape[0], r.shape[0], theta.size)
-    return {key: np.broadcast_to(col, shape).ravel() for key, col in columns.items()}
 
 
 def check_constraint_structure(geom: AnnulusGeometry, params: SubsolutionParams, r, theta, t) -> dict:

@@ -1,15 +1,19 @@
-"""Test oracles: Cartesian views of the constructed state, and the analytic
-derivatives of the fan.
+"""Test oracles: Cartesian views of the constructed state, the analytic
+derivatives of the fan, and the per-time energy rule.
 
 The Cartesian views turn their points back into polar coordinates and evaluate
 the polar library functions there; the library itself works on polar data
 only.  The derivatives give the radial system's residuals in closed form.
 """
 
+import math
+
 import numpy as np
 
 from rotsub import subsolution as ss
+from rotsub.burgers import fan_interval
 from rotsub.geometry import cartesian_to_polar
+from rotsub.quadrature import edges_with_breaks, panel_rule
 
 
 def vbar_at(x, t, geom, params):
@@ -82,3 +86,12 @@ def radial_system_residual_analytic(geom, params, r, t):
     res1 = -a * a_r + 2.0 * ss.beta(r, t, geom, params) / r + (a * a_r + a**2 / r)
     res2 = a_t + gamma_partial_r(r, t, geom, params) + 2.0 * ss.gamma(r, t, geom, params) / r
     return res1, res2
+
+
+def energy_total(geom, params, t):
+    """int_Omega 2 ebar(., t) dx at one time, by eight 8-point radial panels
+    pinned to the band edges: the per-time rule that ``weakform.energy_series``
+    builds for all times at once."""
+    edges = edges_with_breaks(geom.rho, geom.R, 8, fan_interval(t, geom, params.lam))
+    nodes, weights = panel_rule(edges, 8)
+    return 2.0 * math.pi * float(np.dot(weights, 2.0 * ss.ebar(nodes, t, geom, params) * nodes))

@@ -92,7 +92,7 @@ def test_02_constraint_dichotomy(runs):
 def test_03_energy_anchors():
     e0 = wf.initial_energy(GEOM)
     anchor_ok = abs(e0 - 3.0 * math.pi / 4.0) < 1e-14
-    quad_ok = abs(wf.energy_total(GEOM, PARAMS0, 0.7) - e0) < 1e-10 * e0
+    quad_ok = abs(wf.energy_series(GEOM, PARAMS0, [0.7])[0] - e0) < 1e-10 * e0
 
     times = np.linspace(0.0, GEOM.T, 10)
     conserved = wf.energy_series(GEOM, PARAMS0, times)

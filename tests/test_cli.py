@@ -349,9 +349,11 @@ def test_write_csv_matches_per_cell_writer(tmp_path, n_rows):
 
 
 def _assert_matches_per_cell_writer(path, columns):
+    # the reference formats each cell of the columns broadcast to one shape and raveled
     cli.write_csv(path, columns)
+    flat = [a.ravel() for a in np.broadcast_arrays(*map(np.asarray, columns.values()))]
     expected = ",".join(columns) + "\n" + "".join(
-        ",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns.values())
+        ",".join(_fmt(v) for v in row) + "\n" for row in zip(*flat)
     )
     assert path.read_bytes() == expected.encode("utf-8")
 
@@ -380,7 +382,43 @@ def test_write_csv_repeated_floats_keep_their_bits(tmp_path):
 def test_write_csv_subsolution_table_matches_per_cell_writer(tmp_path):
     # sample_columns at the default grid: gamma holds both 0.0 and -0.0
     columns, _, _ = cli.cmd_subsolution(cli.load_config())
+    assert columns["vbar_x"].shape == (5, 50, 32) and columns["f"].shape == (5, 50, 1)
     _assert_matches_per_cell_writer(tmp_path / "subsolution.csv", columns)
+
+
+@pytest.mark.parametrize("n_t, n_r, n_theta", [(3, 0, 4), (5, 7, 1), (3, 300, 16), (700, 3, 2)])
+def test_write_csv_broadcast_columns_match_per_cell_writer(tmp_path, n_t, n_r, n_theta):
+    # (3, 300, 16) writes one time slice per block and (700, 3, 2) many, so the
+    # special floats recur in different blocks and must keep their own text
+    rng = np.random.default_rng(n_t * n_r + n_theta)
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, -0.0, *nans, 1.0 / 3.0, -2.5e-300])
+    cells = specials[rng.integers(0, specials.size, (n_t, n_r, n_theta))]
+    columns = {
+        "r": np.linspace(1.0, 2.0, n_r)[:, None],
+        "theta": np.linspace(0.0, 6.0, n_theta, dtype=np.float32),
+        "t": np.linspace(0.0, 1.0, n_t)[:, None, None],
+        "middle": rng.standard_normal((1, n_r, 1)),
+        "special": cells,
+        "special32": cells.astype(np.float32),
+        # values first met in later blocks, and met again after that
+        "rounded": np.round(rng.standard_normal((n_t, n_r, n_theta)) * 3.0, 1),
+        "flag": rng.random((n_t, n_r, 1)) > 0.5,
+        "radial": cells[:, :, :1],
+        "count": rng.integers(-5, 5, (n_t, 1, n_theta)),
+    }
+    _assert_matches_per_cell_writer(tmp_path / "broadcast.csv", columns)
+    assert (tmp_path / "broadcast.csv").read_bytes().count(b"\n") == 1 + n_t * n_r * n_theta
+
+
+def test_burgers_roundoff_errors_are_no_evidence(tmp_path):
+    # a fan narrower than any cell leaves L1 errors of about 2.2e-16 on every
+    # mesh; their ratios of about 1 measure no convergence order
+    argv = ["burgers", "--params.lambda", "1e-300", "--burgers.n_cells", "200,400,800"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    results = read_strict_report(tmp_path, "burgers")["results"]
+    assert max(results["l1_error"]) < 1e-13
+    assert results["evidence"] == 0 and results["ok"] is False
 
 
 def test_burgers_solves_each_mesh_once(tmp_path, monkeypatch):
@@ -591,8 +629,13 @@ RESULTS_KEYS = {
 @pytest.mark.parametrize("command", RESULTS_KEYS)
 def test_results_schema(tmp_path, command):
     assert cli.main([command, "--out", str(tmp_path)]) == 0
-    results = read_strict_report(tmp_path, command)["results"]
+    report = read_strict_report(tmp_path, command)
+    results = report["results"]
     assert set(results) == RESULTS_KEYS[command]
+    # stage timings: the handler, then the CSV writer, both inside the wall time
+    timings = report["provenance"]["timings"]
+    assert set(timings) == {"handler_s", "write_csv_s"} and min(timings.values()) >= 0.0
+    assert sum(timings.values()) <= report["provenance"]["wall_time_s"]
     assert results["ok"] is True
     assert type(results["evidence"]) is int and results["evidence"] > 0
     for field in results.get("fields", {}).values():

@@ -354,8 +354,10 @@ class TestConstraintStructure:
         cols = ss.sample_columns(GEOM, PARAMS, r, theta, t)
         assert set(cols) == set(want)
         for name, column in cols.items():
+            # the table's rows are its columns broadcast to the grid, in C order
+            column = np.broadcast_to(column, (n_t, n_r, n_theta)).ravel()
             expected = np.asarray(want[name]).ravel()
-            assert column.shape == (n_t * n_r * n_theta,) and column.dtype == expected.dtype, name
+            assert column.dtype == expected.dtype, name
             if column.dtype == float:
                 assert np.array_equal(column.view(np.uint64), expected.view(np.uint64)), name
             else:
@@ -363,21 +365,31 @@ class TestConstraintStructure:
         assert n_r == 0 or np.any(np.signbit(cols["gamma"]) & (cols["gamma"] == 0.0))
 
     def test_sample_columns_contract(self):
-        cols = ss.sample_columns(GEOM, PARAMS, np.array([1.3, 1.5]), np.array([0.0]), np.array([0.0, 0.5]))
+        cols = ss.sample_columns(GEOM, PARAMS, np.array([1.3, 1.5, 1.7]), np.array([0.0, 1.0]),
+                                 np.array([0.0, 0.5]))
         expected = ["r", "theta", "t", "f", "alpha", "beta", "gamma", "qbar",
                     "vbar_x", "vbar_y", "u11", "u12", "egen", "ebar", "in_U"]
         assert list(cols.keys()) == expected
-        assert all(len(v) == 4 for v in cols.values())
+        # nothing is expanded: radial fields once per (t, r) node, and only the
+        # four angle-dependent fields per sample
+        shapes = {"r": (3, 1), "theta": (2,), "t": (2, 1, 1),
+                  **dict.fromkeys(["vbar_x", "vbar_y", "u11", "u12"], (2, 3, 2))}
+        assert {k: v.shape for k, v in cols.items()} == {k: shapes.get(k, (2, 3, 1)) for k in expected}
         # t = 0 rows carry in_U = False
-        t0_rows = cols["t"] == 0.0
-        assert not np.any(cols["in_U"][t0_rows])
+        assert not np.any(cols["in_U"][cols["t"][:, 0, 0] == 0.0])
+
+        # the table's rows are the columns broadcast to the grid, in C order
+        cols = {k: np.broadcast_to(v, (2, 3, 2)).ravel() for k, v in cols.items()}
+        assert np.array_equal(cols["t"], np.repeat([0.0, 0.5], 6))
+        assert np.array_equal(cols["theta"], np.tile([0.0, 1.0], 6))
 
         # the table's vbar, beta and gamma are the field functions themselves,
         # bit for bit (signed zeros included: vbar_x is -0.0 at theta = 0 inside r0)
         r = np.array([1.3, GEOM.r0, 1.7])
         theta = np.array([0.0, 0.5 * math.pi, math.pi])
         t = np.array([0.0, 0.5])
-        cols = ss.sample_columns(GEOM, PARAMS, r, theta, t)
+        cols = {k: np.broadcast_to(v, (2, 3, 3)).ravel()
+                for k, v in ss.sample_columns(GEOM, PARAMS, r, theta, t).items()}
         T, Rg, TH = np.meshgrid(t, r, theta, indexing="ij")
         x = polar_to_cartesian(Rg, TH)
         r_back, th_back = cartesian_to_polar(x)

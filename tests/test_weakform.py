@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import radial_system_residual_analytic
+from oracles import energy_total, radial_system_residual_analytic
 
 from rotsub import subsolution as ss
 from rotsub import weakform as wf
@@ -276,8 +276,19 @@ class TestEnergy:
             R = rho + rng.uniform(0.5, 1.5)
             geom = AnnulusGeometry(rho=rho, R=R, r0=0.5 * (rho + R), T=1.0)
             p0 = SubsolutionParams(lam=0.0, epsilon=0.0)
-            got = wf.energy_total(geom, p0, 0.0)
+            got = wf.energy_series(geom, p0, [0.0])[0]
             assert got == pytest.approx(wf.initial_energy(geom), rel=1e-10)
+
+    @pytest.mark.parametrize("n_times", [2000, 9])
+    @pytest.mark.parametrize("lam", [-0.1, 0.0, 1e-300, 0.1, 0.6, 2.0])
+    def test_series_bit_identical_to_per_time_rule(self, lam, n_times):
+        # the table and gate workloads' times; the rules of all times are built
+        # at once, and each energy must keep the bits of its own rule
+        p = SubsolutionParams(lam=lam, epsilon=PARAMS.epsilon)
+        times = np.linspace(0.0, GEOM.T, n_times)
+        want = np.array([energy_total(GEOM, p, tv) for tv in times])
+        got = wf.energy_series(GEOM, p, times)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_conservation_when_epsilon_zero(self):
         times = np.linspace(0.0, 1.0, 10)
